@@ -5,14 +5,7 @@ Both throughput gates (perf-smoke on fig7_comparison, perf-smoke-fig8 on
 fig8_bandwidth --perf) emit a one-line stderr footer per timed run:
 
     [parallel] N jobs in X.XXs (Y.Y jobs/sec, T threads)
-    [simpar]   T ticks in X.XXs (Y.YY mticks/sec, N lanes) \
-               core[par=A inline=B adv=C def=D spec_commit=E \
-               spec_rollback=F]
-
-The core[...] block is appended only by windowed runs (SILC_SIM_THREADS
->= 2); its counters are copied into the measured artifact verbatim and
-cross-checked for equality between the samples (they are deterministic
-per host, so a mismatch means the windowed loop diverged).
+    [simpar]   T ticks in X.XXs (Y.YY mticks/sec)
 
 This script replaces the formerly-duplicated inline parsers in
 .github/workflows/ci.yml: it extracts the three samples, asserts the
@@ -53,7 +46,7 @@ KINDS = {
     "simpar": {
         "pattern": re.compile(
             r"\[simpar\] (\d+) ticks in [\d.]+s "
-            r"\(([\d.]+) mticks/sec, \d+ lanes\)"
+            r"\(([\d.]+) mticks/sec\)"
         ),
         "count_key": "ticks",
         "rate_key": "mticks_per_sec",
@@ -61,20 +54,6 @@ KINDS = {
         "schema": "silc.bench.fig8.perf.v1",
     },
 }
-
-# Core-phase counters appended to the [simpar] footer by windowed runs
-# (sequential runs omit the block): worker vs inline core legs, ticks
-# advanced off the spine, deferred shared accesses, and the speculation
-# commit/rollback tally.  Informational — copied into the measured
-# artifact, never gated on (they are determinism counters, not rates).
-CORE_PATTERN = re.compile(
-    r"core\[par=(\d+) inline=(\d+) adv=(\d+) def=(\d+) "
-    r"spec_commit=(\d+) spec_rollback=(\d+)\]"
-)
-CORE_FIELDS = (
-    "core_legs_parallel", "core_legs_inline", "core_adv_ticks",
-    "deferred_accesses", "spec_commits", "spec_rollbacks",
-)
 
 EXPECTED_SAMPLES = 3
 
@@ -95,7 +74,6 @@ def main() -> int:
         base = json.load(f)
 
     rates = []
-    core_stats = None
     with open(args.footer) as f:
         for line in f:
             m = kind["pattern"].search(line)
@@ -110,17 +88,6 @@ def main() -> int:
                     f"deliberately if intended"
                 )
             rates.append(float(m.group(2)))
-            cm = CORE_PATTERN.search(line)
-            if cm:
-                sample = dict(zip(CORE_FIELDS, map(int, cm.groups())))
-                if core_stats is not None and core_stats != sample:
-                    sys.exit(
-                        f"core-phase counters differ between samples "
-                        f"({core_stats} vs {sample}) — the windowed loop "
-                        f"is nondeterministic; this is a bug, not a perf "
-                        f"regression"
-                    )
-                core_stats = sample
     if len(rates) != EXPECTED_SAMPLES:
         sys.exit(f"expected {EXPECTED_SAMPLES} footers, got {rates}")
 
@@ -143,8 +110,6 @@ def main() -> int:
         "baseline_host_cpus": baseline_cpus,
         "host_cpus_mismatch": cpus_mismatch,
     }
-    if core_stats is not None:
-        result["core_phase"] = core_stats
     with open(args.out, "w") as f:
         json.dump(result, f, indent=2)
 

@@ -224,7 +224,7 @@ Cache::reset()
 }
 
 void
-Cache::snapshot(BlobWriter &w, bool with_stats) const
+Cache::snapshot(BlobWriter &w) const
 {
     w.putU64(lines_.size());
     for (const Line &l : lines_) {
@@ -235,16 +235,10 @@ Cache::snapshot(BlobWriter &w, bool with_stats) const
     }
     w.putU64(lru_clock_);
     w.putU64(rr_victim_);
-    if (with_stats) {
-        w.putU64(hits_);
-        w.putU64(misses_);
-        w.putU64(evictions_);
-        w.putU64(writebacks_);
-    }
 }
 
 void
-Cache::restore(BlobReader &r, bool with_stats)
+Cache::restore(BlobReader &r)
 {
     const uint64_t n = r.getU64();
     if (n != lines_.size()) {
@@ -260,14 +254,7 @@ Cache::restore(BlobReader &r, bool with_stats)
     }
     lru_clock_ = r.getU64();
     rr_victim_ = r.getU64();
-    if (with_stats) {
-        hits_ = r.getU64();
-        misses_ = r.getU64();
-        evictions_ = r.getU64();
-        writebacks_ = r.getU64();
-    } else {
-        hits_ = misses_ = evictions_ = writebacks_ = 0;
-    }
+    hits_ = misses_ = evictions_ = writebacks_ = 0;
 }
 
 } // namespace cache

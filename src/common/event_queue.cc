@@ -27,19 +27,6 @@ EventQueue::schedule(Tick when, EventCallback cb)
     std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-void
-EventQueue::scheduleKeyed(Tick when, uint64_t seq, EventCallback cb)
-{
-    if (when < last_run_tick_) {
-        panic("scheduling keyed event in the past (when=%" PRIu64
-              ", now=%" PRIu64 ")", when, last_run_tick_);
-    }
-    if (heap_.capacity() == 0)
-        heap_.reserve(kInitialCapacity);
-    heap_.push_back(Entry{when, seq, std::move(cb)});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
 EventId
 EventQueue::scheduleCancellable(Tick when, EventCallback cb)
 {

@@ -20,6 +20,11 @@
  * Iteration order of the backing table is hash order; forEachSorted()
  * visits entries in ascending key order so serialization and sweep
  * diagnostics stay byte-deterministic.
+ *
+ * Reference stability: a reference returned by find() or getOrCreate()
+ * stays valid until getOrCreate() inserts a key that was not present
+ * (only an insert can grow and rehash the table).  Callers may hold a
+ * reference across lookups of present keys, including the same key.
  */
 
 #ifndef SILC_COMMON_SPARSE_ARRAY_HH
@@ -52,14 +57,8 @@ class SparseArray
     const T *
     find(uint64_t key) const
     {
-        const size_t mask = slots_.size() - 1;
-        for (size_t i = hash(key) & mask;; i = (i + 1) & mask) {
-            const Slot &s = slots_[i];
-            if (!s.used)
-                return nullptr;
-            if (s.key == key)
-                return &s.value;
-        }
+        const Slot &s = slots_[probe(key)];
+        return s.used ? &s.value : nullptr;
     }
 
     T *
@@ -73,21 +72,21 @@ class SparseArray
     T &
     getOrCreate(uint64_t key)
     {
-        if ((size_ + 1) * 10 > slots_.size() * 7)
+        // Probe before growing: a lookup of a present key must never
+        // rehash (see "Reference stability" above).
+        size_t i = probe(key);
+        if (slots_[i].used)
+            return slots_[i].value;
+        if ((size_ + 1) * 10 > slots_.size() * 7) {
             grow();
-        const size_t mask = slots_.size() - 1;
-        for (size_t i = hash(key) & mask;; i = (i + 1) & mask) {
-            Slot &s = slots_[i];
-            if (!s.used) {
-                s.used = true;
-                s.key = key;
-                s.value = T{};
-                ++size_;
-                return s.value;
-            }
-            if (s.key == key)
-                return s.value;
+            i = probe(key);
         }
+        Slot &s = slots_[i];
+        s.used = true;
+        s.key = key;
+        s.value = T{};
+        ++size_;
+        return s.value;
     }
 
     /** Materialize @p key with @p value (overwriting any prior entry). */
@@ -165,6 +164,18 @@ class SparseArray
         // Fibonacci multiplicative hash: sequential frame/block keys
         // spread across the table instead of clustering one probe run.
         return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> 17);
+    }
+
+    /** Slot holding @p key, or the empty slot where it would go.
+     *  Terminates because growth keeps the load at or below 70%. */
+    size_t
+    probe(uint64_t key) const
+    {
+        const size_t mask = slots_.size() - 1;
+        size_t i = hash(key) & mask;
+        while (slots_[i].used && slots_[i].key != key)
+            i = (i + 1) & mask;
+        return i;
     }
 
     void

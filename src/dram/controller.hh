@@ -51,26 +51,6 @@ struct DecodedRequest
 constexpr uint32_t kNullSlot = ~uint32_t(0);
 
 /**
- * A completion callback captured during a windowed replay instead of
- * being scheduled on the (shared) event queue.  The merge phase turns
- * these into keyed event-queue entries in deterministic
- * (scan tick, channel) order (see sim/domain.hh).
- */
-struct DeferredCompletion
-{
-    Tick scan_tick = 0;  ///< tick of the scan that issued the request
-    Tick when = 0;       ///< completion (data_done) tick
-    EventCallback cb;
-};
-
-/** A read-delay histogram sample deferred the same way. */
-struct DeferredSample
-{
-    Tick scan_tick = 0;
-    double delay = 0.0;
-};
-
-/**
  * One DRAM channel: banks, data bus, queues, scheduler.
  *
  * Scanned by the owning DramSystem only at its pending-wakeup tick
@@ -120,68 +100,17 @@ class ChannelController
      */
     void scan(Tick now);
 
-    /**
-     * Pending reads + writes.  Window-buffered enqueues count: they are
-     * requests the sequential simulator would already have queued, and
-     * the telemetry queue-depth probes must see identical values.
-     */
+    /** Pending reads + writes. */
     size_t queuedRequests() const
     {
-        return read_q_.count + bg_read_q_.count + write_q_.count +
-            pending_reads_ + pending_writes_;
+        return read_q_.count + bg_read_q_.count + write_q_.count;
     }
 
     size_t readQueueDepth() const
     {
-        return read_q_.count + bg_read_q_.count + pending_reads_;
+        return read_q_.count + bg_read_q_.count;
     }
-    size_t writeQueueDepth() const
-    {
-        return write_q_.count + pending_writes_;
-    }
-
-    // ---- Windowed parallel execution (see sim/domain.hh) -------------
-
-    /**
-     * Switch completion scheduling and histogram sampling into deferred
-     * buffers so scan() becomes channel-local (no shared event queue or
-     * device-shared histogram writes) and replayWindow() may run on a
-     * worker thread.
-     */
-    void setWindowMode(bool on) { window_mode_ = on; }
-
-    /**
-     * Record an enqueue performed during a window's serial core phase.
-     * @p scan_at is the first scan tick that may see the request (the
-     * same value DramSystem::issue computes for requestScanAt); the
-     * replay applies it just before its channel reaches that tick.
-     */
-    void bufferEnqueue(DecodedRequest dec, Tick now, Tick scan_at);
-
-    /**
-     * Replay this channel's window: interleave buffered enqueues and
-     * scheduling scans in exactly the order the sequential simulator
-     * would have performed them, stopping before tick @p w1.  Leftover
-     * enqueues (first visible scan at or past @p w1) are applied at the
-     * end so queue state matches the sequential simulator at @p w1.
-     * Channel-local: safe to run concurrently across channels.
-     */
-    void replayWindow(Tick w1);
-
-    /** Deferred completions recorded by the last replay (merge drains). */
-    std::vector<DeferredCompletion> &deferredCompletions()
-    {
-        return deferred_completions_;
-    }
-
-    /** Deferred histogram samples of the last replay (merge drains). */
-    std::vector<DeferredSample> &deferredSamples()
-    {
-        return deferred_samples_;
-    }
-
-    /** Buffered-but-unapplied enqueues (diagnostics/tests). */
-    size_t pendingEnqueues() const { return pending_.size(); }
+    size_t writeQueueDepth() const { return write_q_.count; }
 
     /** Ticks the data bus has been busy (utilization numerator). */
     Tick busBusyTicks() const { return bus_busy_ticks_; }
@@ -285,25 +214,6 @@ class ChannelController
 
     /** The pending wakeup (see nextScanAt()). */
     Tick next_scan_ = kTickNever;
-
-    // ---- Window-mode state (see sim/domain.hh) -----------------------
-
-    /** An enqueue buffered during the serial core phase of a window. */
-    struct PendingEnqueue
-    {
-        DecodedRequest dec;
-        Tick now = 0;      ///< original enqueue tick (delay/aging base)
-        Tick scan_at = 0;
-    };
-
-    bool window_mode_ = false;
-    /** Buffered enqueues in arrival order (scan_at is nondecreasing). */
-    std::vector<PendingEnqueue> pending_;
-    /** Buffered-read / buffered-write counts for the depth probes. */
-    size_t pending_reads_ = 0;
-    size_t pending_writes_ = 0;
-    std::vector<DeferredCompletion> deferred_completions_;
-    std::vector<DeferredSample> deferred_samples_;
 
     /**
      * Scratch from the last tryIssue(), consumed by rearm(): whether an

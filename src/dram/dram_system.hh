@@ -184,82 +184,12 @@ class DramSystem
 
     size_t numChannels() const { return channels_.size(); }
 
-    // ---- Windowed parallel execution (see sim/domain.hh) -------------
-    //
-    // In window mode the device is split across the main loop's two
-    // roles: the serial core phase calls stampTick() (no scans) and
-    // issue() buffers enqueues into the owning channel, while the scan
-    // work of the window is replayed per channel — possibly on worker
-    // threads — via replayChannel(), then folded back deterministically
-    // by mergeWindow().
-
-    /** Enter/leave window mode (propagates to every channel). */
-    void setWindowMode(bool on);
-
-    /**
-     * Window-mode stand-in for tick(): record the main loop's device
-     * phase for issue()'s same-cycle scan placement, without scanning.
-     */
-    void stampTick(Tick now) { tick_seen_ = now; }
-
-    /**
-     * Open a window: seed the conservative horizon from the channels'
-     * armed wakeups.  Call after the previous window's replay (which
-     * re-arms them) and before the window's core phase.
-     */
-    void beginWindow();
-
-    /**
-     * Lower bound, in CPU ticks, between a scan issuing a request and
-     * its completion callback (CAS latency plus one bus burst cycle).
-     * Scans at tick t schedule completions no earlier than t +
-     * minServiceTicks(), which is what makes a window of that length
-     * safe to replay after its core phase has already run.
-     */
-    Tick minServiceTicks() const
-    {
-        return params_.toTicks(params_.t_cas + 1);
-    }
-
-    /**
-     * First tick at which the window currently being built could miss a
-     * completion: no scan of this device before
-     * min(armed wakeups, buffered enqueue scans) can complete earlier
-     * than that scan tick plus minServiceTicks().  Monotonically
-     * nonincreasing within a window (issue() pulls it down); the core
-     * phase must stop at or before this tick.
-     */
-    Tick
-    windowHorizon() const
-    {
-        return window_scan_low_ >= kTickNever - minServiceTicks()
-            ? kTickNever
-            : window_scan_low_ + minServiceTicks();
-    }
-
-    /** Replay one channel's window up to @p w1 (thread-safe across
-     *  distinct channels; see ChannelController::replayWindow). */
-    void replayChannel(size_t i, Tick w1)
-    {
-        channels_[i]->replayWindow(w1);
-    }
-
-    /**
-     * Fold the window's deferred work back into the shared state, in
-     * the sequential simulator's order: completion events are inserted
-     * with keys composed from (scan tick, @p loop_phase, channel rank)
-     * and histogram samples replay in (scan tick, channel) order.
-     * @p loop_phase is the device's main-loop phase (1 NM, 2 FM).
-     */
-    void mergeWindow(uint32_t loop_phase);
-
   private:
     /** Slow path of tick(): scan every due channel in index order. */
     void scanDue(Tick now);
 
     DramTimingParams params_;
     uint64_t capacity_;
-    EventQueue &events_;
     stats::Distribution read_delay_hist_;
     std::vector<std::unique_ptr<ChannelController>> channels_;
     TrafficBytes traffic_;
@@ -269,15 +199,6 @@ class DramSystem
     Tick next_scan_min_ = kTickNever;
     /** Last tick() cycle, to place same-cycle enqueues (see issue()). */
     Tick tick_seen_ = kTickNever;
-
-    /** Window mode: issue() buffers, scans run via replayChannel(). */
-    bool window_mode_ = false;
-    /** Earliest possible scan tick of the open window (see
-     *  windowHorizon()). */
-    Tick window_scan_low_ = kTickNever;
-    /** Merge scratch: (scan_tick, channel, index into that channel's
-     *  deferred vector), reused across windows. */
-    std::vector<std::array<uint64_t, 3>> merge_order_;
 };
 
 } // namespace dram

@@ -184,7 +184,6 @@ WindowSample
 SamplingController::replayWindow(const Checkpoint &ckpt, uint64_t index)
 {
     sim::SystemConfig rcfg = cfg_;
-    rcfg.sim_threads = 1;          // replays are the parallel unit
     rcfg.telemetry.enabled = false;
     rcfg.check = false;            // the oracle already ran in warming
     // Core retire counters restart at zero after a restore (they are
@@ -278,7 +277,6 @@ SamplingController::run()
 
     // ---- Phase 1: sequential functional warming + checkpointing. ----
     sim::SystemConfig wcfg = cfg_;
-    wcfg.sim_threads = 1;
     wcfg.telemetry.enabled = false;
 
     sim::System warm(wcfg);

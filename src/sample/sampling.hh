@@ -29,8 +29,8 @@
  *     is set, replay stops early (at deterministic batch boundaries)
  *     once the relative CI half-width of IPC drops below the target.
  *
- * Determinism: warming is sequential; every replay runs sim_threads=1
- * from a byte-exact blob; windows are collected in checkpoint order and
+ * Determinism: warming is sequential; every replay runs the sequential
+ * loop from a byte-exact blob; windows are collected in checkpoint order and
  * early stopping is evaluated only at fixed batch boundaries — so
  * results are byte-identical across SILC_THREADS values.
  *

@@ -56,16 +56,10 @@ ExperimentOptions::fromEnv()
     o.telemetry = envU64("SILC_TELEMETRY", o.telemetry ? 1 : 0) != 0;
     o.epoch_ticks = envU64("SILC_EPOCH_TICKS", o.epoch_ticks);
     o.check = envU64("SILC_CHECK", o.check ? 1 : 0) != 0;
-    o.sim_threads = envThreadCount("SILC_SIM_THREADS", o.sim_threads);
-    o.core_lanes = envThreadCount("SILC_CORE_LANES", o.core_lanes);
-    // Ticks, not threads: allow large horizons but still fail fast on
-    // junk and absurd values (a full run is ~1e7 ticks at bench scale).
-    o.spec_horizon = envPositiveCount("SILC_SPEC_HORIZON", o.spec_horizon,
-                                      1'000'000'000'000ULL);
     o.tenants = static_cast<uint32_t>(
         envPositiveCount("SILC_TENANTS", o.tenants, 256));
     // Mem ops, not threads; 0 would be "never churn" but unset already
-    // means that, so (like SILC_SPEC_HORIZON) an explicit 0 is junk.
+    // means that, so an explicit 0 is junk.
     o.tenant_churn = envPositiveCount("SILC_TENANT_CHURN",
                                       o.tenant_churn,
                                       1'000'000'000'000ULL);
@@ -101,9 +95,6 @@ makeConfig(const std::string &workload, const std::string &scheme,
     cfg.pom.migration_threshold = 48;
     cfg.telemetry.enabled = opts.telemetry;
     cfg.telemetry.epoch_ticks = opts.epoch_ticks;
-    cfg.sim_threads = opts.sim_threads;
-    cfg.core_lanes = opts.core_lanes;
-    cfg.spec_horizon = opts.spec_horizon;
     cfg.tenants = opts.tenants;
     cfg.tenant_churn_interval = opts.tenant_churn;
     // Every scheme has at least the shadow-data tier of the oracle, so

@@ -125,34 +125,13 @@ struct SystemConfig
     Tick max_ticks = 500'000'000;
 
     /**
-     * Intra-simulation worker threads (SILC_SIM_THREADS).  1 runs the
-     * classic sequential loop; >= 2 runs the conservative-lookahead
-     * windowed loop (sim/domain.hh), which partitions both the DRAM
-     * channel scans and the cores' private execution across this many
-     * lanes.  Results are byte-identical across every value of this
-     * knob — it is purely a wall-clock control.
+     * Must be 1: the simulation loop is sequential, and validate()
+     * rejects any other value.  Parallelism lives a level up — whole
+     * jobs (sim/parallel.hh) and sampling windows (sample/).  The field
+     * survives only because the repository benchmark (perfbench/)
+     * assigns it; remove it together with those assignments.
      */
     uint32_t sim_threads = 1;
-
-    /**
-     * Core-advance lanes of the windowed loop (SILC_CORE_LANES).
-     * 0 follows sim_threads; any value is clamped to the core count.
-     * Like sim_threads, purely a wall-clock control.
-     */
-    uint32_t core_lanes = 0;
-
-    /**
-     * Speculative horizon of the windowed loop (SILC_SPEC_HORIZON,
-     * ticks; 0 disables).  Cores with outstanding fills may run this
-     * many ticks past their conservative event bound on their worker
-     * lanes, snapshotting cheap per-core state at the bound; a core
-     * whose speculative execution would have observed a completion out
-     * of order is rolled back to the snapshot and deterministically
-     * re-executed, so results stay byte-identical (see DESIGN.md
-     * "Core-phase partitioning").  Requires snapshot-capable trace
-     * sources (all shipped sources qualify).
-     */
-    Tick spec_horizon = 0;
 
     /** Table II defaults (with capacity/L2 scaled as per DESIGN.md). */
     static SystemConfig defaults();
@@ -162,7 +141,6 @@ struct SystemConfig
 };
 
 class MemoryHierarchy;
-struct WindowStats;
 
 /** One complete simulated machine. */
 class System
@@ -184,7 +162,7 @@ class System
      * its current instruction budget (or the tick limit hits).  Unlike
      * run(), the loop is resumable: the cycle counter is a member, so
      * extending the per-core budgets and calling runToBudget() again
-     * continues the same simulation.  Requires sim_threads == 1.
+     * continues the same simulation.
      *
      * @retval true  all cores retired their budgets
      * @retval false the max_ticks cutoff fired first
@@ -246,10 +224,6 @@ class System
     cpu::Core &core(uint32_t i) { return *cores_[i]; }
     EventQueue &events() { return events_; }
 
-    /** Windowed-loop counters of the last run() (null when the
-     *  sequential loop ran); consumed by the fig8 bench footer. */
-    const WindowStats *windowStats() const { return window_stats_.get(); }
-
     /** Oracle-verified accesses of the last run (0 when check is off);
      *  sums the shadow and differential tiers. */
     uint64_t accessesChecked() const;
@@ -257,12 +231,6 @@ class System
   private:
     /** Build the recorder and register every component's probes. */
     void attachTelemetry();
-
-    /**
-     * The conservative-lookahead windowed run loop (sim_threads >= 2).
-     * Byte-identical results to the sequential loop; see sim/domain.hh.
-     */
-    SimResult runWindowed();
 
     SystemConfig cfg_;
     EventQueue events_;
@@ -283,10 +251,6 @@ class System
     std::unique_ptr<telemetry::Recorder> recorder_;
     std::unique_ptr<check::DifferentialChecker> checker_;
     std::unique_ptr<check::ShadowChecker> shadow_;
-    /** Windowed-loop counters, populated by runWindowed() for
-     *  dumpStats(); held by pointer to keep domain.hh out of this
-     *  header (it includes parallel.hh -> experiment.hh -> here). */
-    std::unique_ptr<WindowStats> window_stats_;
 };
 
 /**
@@ -301,66 +265,6 @@ class MemoryHierarchy : public cpu::MemoryPort
 
     bool access(CoreId core, Addr vaddr, Addr pc, bool is_write,
                 std::function<void(Tick)> done, Tick now) override;
-
-    /**
-     * Partition-aware access for the windowed loop's worker lanes: the
-     * core-private prefix (I-line memo + L1i, TLB probe, L1d hit) runs
-     * inline; anything that would touch shared state (TLB miss, L1d
-     * miss) is captured into a per-core descriptor and Deferred for the
-     * serial spine to execute via executeDeferred().  Outside partition
-     * mode this is exactly access().
-     */
-    cpu::AccessResult accessPartitioned(CoreId core, Addr vaddr, Addr pc,
-                                        bool is_write,
-                                        std::function<void(Tick)> done,
-                                        Tick now) override;
-
-    // ---- Core-partitioned windowed loop (see System::runWindowed) ----
-
-    /** Enter/leave partition mode (routes accessPartitioned off the
-     *  sequential path and turns on fill gating + rollback checks). */
-    void setPartitionMode(bool on);
-
-    /**
-     * Outstanding fill deliveries into @p core's private L1d (primary
-     * misses, coalesced waiters and stores alike).  Zero means no
-     * pending event can touch the core's private state, so the windowed
-     * loop may advance it to the window cap without waiting for events.
-     */
-    uint32_t pendingFills(CoreId core) const
-    {
-        return pending_fills_[core];
-    }
-
-    /** True while a Deferred access of @p core awaits the spine. */
-    bool hasDeferred(CoreId core) const { return deferred_[core].valid; }
-
-    /**
-     * Execute @p core's captured shared access on the spine at tick
-     * @p now (must equal the capture tick).  @return accepted — false
-     * replays the sequential MSHR-rejection path in the core.
-     */
-    bool executeDeferred(CoreId core, Tick now);
-
-    /** Drop a captured access without executing it (rollback path). */
-    void clearDeferred(CoreId core);
-
-    /**
-     * Called at event time for every fill completion targeting a core's
-     * private state, just before the L1 install.  The run loop — which
-     * owns the per-core execution frontiers — uses it to (a) roll a
-     * core back when it has speculated past the completion, so the
-     * install lands on pre-completion state exactly as in the
-     * sequential order, and (b) retire a now-stale speculative snapshot
-     * when the install lands on a core that has not yet passed it.
-     */
-    using FillGate = std::function<void(CoreId, Tick)>;
-    void setFillGate(FillGate gate) { fill_gate_ = std::move(gate); }
-
-    /** Bit-exact per-core private state (L1s with stats + I-line memo)
-     *  for the speculative-horizon snapshot. */
-    void snapshotCoreSpec(CoreId core, BlobWriter &w) const;
-    void restoreCoreSpec(CoreId core, BlobReader &r);
 
     uint64_t llcMisses() const { return llc_misses_total_; }
 
@@ -401,12 +305,6 @@ class MemoryHierarchy : public cpu::MemoryPort
     const cache::MshrFile &mshrs() const { return mshr_; }
 
   private:
-    /** The shared tail of access(): L1d lookup onward.  Both entry
-     *  points funnel here so the sequential and partitioned paths stay
-     *  one implementation. */
-    bool dataAccess(CoreId core, Addr paddr, Addr pc, bool is_write,
-                    std::function<void(Tick)> done, Tick now);
-
     const SystemConfig &cfg_;
     Translation &translation_;
     policy::FlatMemoryPolicy &policy_;
@@ -423,22 +321,6 @@ class MemoryHierarchy : public cpu::MemoryPort
     double miss_latency_sum_ = 0.0;
     uint64_t misses_completed_ = 0;
     bool warming_ = false;
-
-    // ---- Partition-mode state (windowed loop only) -----------------
-    /** A shared-state access captured for the spine. */
-    struct DeferredAccess
-    {
-        Addr vaddr = 0;
-        Addr pc = 0;
-        bool is_write = false;
-        bool valid = false;
-        std::function<void(Tick)> done;
-    };
-
-    bool partition_mode_ = false;
-    std::vector<DeferredAccess> deferred_;
-    std::vector<uint32_t> pending_fills_;
-    FillGate fill_gate_;
 };
 
 } // namespace sim

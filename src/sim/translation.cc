@@ -55,29 +55,6 @@ Translation::translate(CoreId core, Addr vaddr)
     return frame * kLargeBlockSize + (vaddr & (kLargeBlockSize - 1));
 }
 
-bool
-Translation::probe(CoreId core, Addr vaddr, Addr &paddr) const
-{
-    const uint64_t vpage = vaddr >> kLargeBlockBits;
-    const size_t idx = static_cast<size_t>(core) * kTlbEntries +
-        (vpage & (kTlbEntries - 1));
-    if (idx < tlb_.size() && tlb_[idx].vpage == vpage) {
-        paddr = tlb_[idx].frame * kLargeBlockSize +
-            (vaddr & (kLargeBlockSize - 1));
-        return true;
-    }
-    return false;
-}
-
-void
-Translation::ensureCores(uint32_t cores)
-{
-    sized_cores_ = std::max(sized_cores_, cores);
-    const size_t want = static_cast<size_t>(sized_cores_) * kTlbEntries;
-    if (tlb_.size() < want)
-        tlb_.resize(want);
-}
-
 uint64_t
 Translation::pagesAllocatedFor(CoreId core) const
 {
@@ -133,11 +110,8 @@ Translation::restore(BlobReader &r)
         per_core_pages_[core] = r.getU64();
     }
 
-    // Invalidate the translation cache but keep the ensureCores() floor:
-    // shrinking here would reintroduce the lazy-resize that concurrent
-    // probe() calls cannot tolerate.
-    tlb_.assign(static_cast<size_t>(sized_cores_) * kTlbEntries,
-                TlbEntry{});
+    // Invalidate the translation cache; translate() regrows it lazily.
+    tlb_.clear();
 }
 
 } // namespace sim

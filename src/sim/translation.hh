@@ -41,25 +41,6 @@ class Translation
      */
     Addr translate(CoreId core, Addr vaddr);
 
-    /**
-     * TLB-hit-only translation: returns true and writes @p paddr when
-     * the per-core translation cache holds the mapping; returns false
-     * otherwise, touching nothing.  Mappings never invalidate, so a hit
-     * is always exact.  Const and mutation-free, which makes it safe to
-     * call from the core-partitioned windowed loop's worker lanes while
-     * the shared page table is quiescent — call ensureCores() first so
-     * the backing vector can never be resized concurrently.
-     */
-    bool probe(CoreId core, Addr vaddr, Addr &paddr) const;
-
-    /**
-     * Pre-size the translation cache for cores [0, @p cores).  Without
-     * this, translate() grows the TLB vector lazily on first miss — a
-     * reallocation that would race with concurrent probe() calls.  The
-     * sizing floor survives restore().
-     */
-    void ensureCores(uint32_t cores);
-
     /** Pages allocated so far (the measured footprint). */
     uint64_t pagesAllocated() const { return next_free_; }
 
@@ -96,9 +77,8 @@ class Translation
      * here is exact; it exists because the interleaving of instruction
      * lines, stack-like friendly-region accesses and hot-page bursts
      * defeats a single-entry memo, and the hash-map probe was ~17% of
-     * simulation time.  Grown lazily per core unless pre-sized via
-     * ensureCores(); restore() invalidates entries but keeps the
-     * pre-sized capacity (see sized_cores_).
+     * simulation time.  Grown lazily per core; restore() invalidates
+     * it.
      */
     static constexpr uint32_t kTlbEntries = 256; // per core, power of 2
 
@@ -108,8 +88,6 @@ class Translation
         uint64_t frame = 0;
     };
     std::vector<TlbEntry> tlb_;
-    /** ensureCores() floor, reapplied by restore(). */
-    uint32_t sized_cores_ = 0;
 };
 
 } // namespace sim

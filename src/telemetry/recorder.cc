@@ -36,7 +36,6 @@ Recorder::start(EventQueue &events)
     series_->header = header_;
     for (auto &sink : sinks_)
         sink->begin(header_);
-    next_epoch_tick_ = cfg_.epoch_ticks;
     events_->schedule(cfg_.epoch_ticks, [this](Tick t) { onEpoch(t); });
 }
 
@@ -55,8 +54,7 @@ Recorder::onEpoch(Tick now)
     if (finished_)
         return;
     record(now);
-    next_epoch_tick_ = now + cfg_.epoch_ticks;
-    events_->schedule(next_epoch_tick_,
+    events_->schedule(now + cfg_.epoch_ticks,
                       [this](Tick t) { onEpoch(t); });
 }
 

@@ -77,20 +77,6 @@ class Recorder
 
     uint64_t epochsRecorded() const { return sampler_.epochsSampled(); }
 
-    /**
-     * Tick of the next scheduled epoch sample, or kTickNever when no
-     * epoch is pending (not started, or finished).  The windowed
-     * parallel run loop caps each window at this tick so epoch probes
-     * observe the same device state as in the sequential run (the epoch
-     * event fires before the window's DRAM scans at that tick, exactly
-     * like the sequential loop's phase order).
-     */
-    Tick
-    nextEpochTick() const
-    {
-        return started_ && !finished_ ? next_epoch_tick_ : kTickNever;
-    }
-
   private:
     void onEpoch(Tick now);
     void record(Tick now);
@@ -103,8 +89,6 @@ class Recorder
     EventQueue *events_ = nullptr;
     bool started_ = false;
     bool finished_ = false;
-    /** Absolute tick of the pending onEpoch event (see nextEpochTick()). */
-    Tick next_epoch_tick_ = kTickNever;
 };
 
 } // namespace telemetry

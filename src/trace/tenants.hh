@@ -17,8 +17,8 @@
  * capacity scheme must exploit (or age out) across tenancy changes.
  *
  * Fully deterministic given (params, profile, seed) and snapshot/
- * restore-capable, so multi-tenant runs compose with sampling and the
- * windowed loop's speculative rollback like any other source.
+ * restore-capable, so multi-tenant runs compose with sampling like any
+ * other source.
  */
 
 #ifndef SILC_TRACE_TENANTS_HH

@@ -16,6 +16,7 @@
 
 #include "common/env.hh"
 #include "common/serialize.hh"
+#include "common/sparse_array.hh"
 #include "core/bitvector_table.hh"
 #include "core/set_metadata.hh"
 #include "dram/dram_system.hh"
@@ -104,6 +105,28 @@ TEST(Capacity, NmMetadataSparseDefaultsAndMaterialization)
     meta.touch(42);
     EXPECT_EQ(meta.materializedFrames(), 2u);
     EXPECT_EQ(cmeta.meta(123'456).remap, 77u);
+}
+
+TEST(Capacity, SparseArrayLookupNeverMovesEntries)
+{
+    // A lookup of a present key must not rehash: SilcFmPolicy holds a
+    // WayMeta & across NmMetadata::touch() of the same frame.  Insert
+    // keys one at a time across several growth thresholds; after each
+    // insert, look the new key up again and require the same address.
+    SparseArray<uint64_t> a;
+    for (uint64_t k = 0; k < 100; ++k) {
+        uint64_t *p = &a.getOrCreate(k * 7919);
+        *p = k;
+        ASSERT_EQ(&a.getOrCreate(k * 7919), p)
+            << "lookup moved the entry after " << k + 1 << " inserts";
+    }
+    // Inserts still grow the table, and every value survives.
+    EXPECT_EQ(a.size(), 100u);
+    for (uint64_t k = 0; k < 100; ++k) {
+        ASSERT_NE(a.find(k * 7919), nullptr);
+        EXPECT_EQ(*a.find(k * 7919), k);
+    }
+    EXPECT_EQ(a.find(1), nullptr);
 }
 
 TEST(Capacity, NmMetadataSnapshotRoundTripsSparsely)

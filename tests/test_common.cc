@@ -20,6 +20,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/experiment.hh"
+#include "sim/parallel.hh"
 
 using namespace silc;
 
@@ -683,39 +684,47 @@ TEST(EnvDeath, ThreadCountCapFatal)
     EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1), "SILC_TEST_KNOB");
 }
 
-// The windowed-loop knobs route through the validated parsers above;
-// pin that wiring with the real environment names (a regression to raw
-// getenv/atoi would silently read junk as 0).
+// The thread-count knob as SILC_THREADS uses it, and the locale-stable
+// formatting of the CI-parsed [parallel]/[simpar] footers.
 
-TEST(EnvDeath, SpecHorizonZeroFatal)
+TEST(EnvKnobs, UnsetReturnsFallback)
 {
-    ScopedEnv e("SILC_SPEC_HORIZON", "0");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SPEC_HORIZON");
+    ::unsetenv("SILC_TEST_KNOB");
+    EXPECT_EQ(envThreadCount("SILC_TEST_KNOB", 7u), 7u);
+    EXPECT_EQ(envPositiveCount("SILC_TEST_KNOB", 42), 42u);
 }
 
-TEST(EnvDeath, SpecHorizonJunkFatal)
+TEST(EnvKnobs, ValidValueParses)
 {
-    ScopedEnv e("SILC_SPEC_HORIZON", "fast");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SPEC_HORIZON");
+    ::setenv("SILC_TEST_KNOB", "12", 1);
+    EXPECT_EQ(envThreadCount("SILC_TEST_KNOB", 1u), 12u);
+    ::unsetenv("SILC_TEST_KNOB");
 }
 
-TEST(EnvDeath, SpecHorizonOverflowFatal)
+TEST(EnvKnobs, RejectsZeroJunkAndOverflow)
 {
-    // Above the 1e12-tick cap (and any plausible run length).
-    ScopedEnv e("SILC_SPEC_HORIZON", "1000000000000001");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SPEC_HORIZON");
+    ::setenv("SILC_TEST_KNOB", "0", 1);
+    EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1u), "positive");
+    ::setenv("SILC_TEST_KNOB", "4abc", 1);
+    EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1u), "positive");
+    ::setenv("SILC_TEST_KNOB", "", 1);
+    EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1u), "positive");
+    ::setenv("SILC_TEST_KNOB", "-3", 1);
+    EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1u), "positive");
+    ::setenv("SILC_TEST_KNOB", "100000", 1);
+    EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1u), "maximum");
+    ::unsetenv("SILC_TEST_KNOB");
 }
 
-TEST(EnvDeath, CoreLanesZeroFatal)
+TEST(EnvKnobs, FooterFormattingIsLocaleStableFixedPoint)
 {
-    ScopedEnv e("SILC_CORE_LANES", "0");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_CORE_LANES");
-}
-
-TEST(EnvDeath, CoreLanesJunkFatal)
-{
-    ScopedEnv e("SILC_CORE_LANES", "two");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_CORE_LANES");
+    EXPECT_EQ(sim::fixedDecimal(0.0, 2), "0.00");
+    EXPECT_EQ(sim::fixedDecimal(1.234, 2), "1.23");
+    EXPECT_EQ(sim::fixedDecimal(1.235, 2), "1.24");  // ties round up
+    EXPECT_EQ(sim::fixedDecimal(1234.5, 1), "1234.5");
+    EXPECT_EQ(sim::fixedDecimal(0.05, 1), "0.1");
+    EXPECT_EQ(sim::fixedDecimal(12.0, 0), "12");
+    EXPECT_EQ(sim::fixedDecimal(-1.0, 2), "0.00");  // clamped, never "-"
 }
 
 // SILC_SCHEME is validated eagerly against the scheme registry so a
@@ -752,13 +761,6 @@ TEST(Env, SchemeAliasParses)
     // happens at policy-construction time via the registry.
     ScopedEnv e("SILC_SCHEME", "cameo");
     EXPECT_EQ(sim::ExperimentOptions::fromEnv().scheme, "cameo");
-}
-
-TEST(EnvDeath, CoreLanesOverflowFatal)
-{
-    // Above the 1024-lane thread-count cap.
-    ScopedEnv e("SILC_CORE_LANES", "4096");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_CORE_LANES");
 }
 
 // ---- distribution percentiles / differencing -----------------------------

@@ -225,3 +225,14 @@ TEST(SystemIntegration, StatsDumpCoversComponents)
     // Values render next to descriptions.
     EXPECT_NE(text.find("# instructions retired"), std::string::npos);
 }
+
+TEST(SystemConfigDeath, SimThreadsOtherThanOneIsFatal)
+{
+    // The run loop is sequential; any other sim_threads value is a
+    // configuration error, not a request for a different loop.
+    for (uint32_t threads : {0u, 2u}) {
+        SystemConfig cfg = tinyConfig("mcf", "silcfm");
+        cfg.sim_threads = threads;
+        EXPECT_DEATH({ System system(cfg); }, "sim_threads");
+    }
+}

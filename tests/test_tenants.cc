@@ -141,7 +141,7 @@ TEST(Tenants, SnapshotRestoreRoundTrips)
 namespace {
 
 sim::SystemConfig
-tenantConfig(uint32_t tenants, uint32_t sim_threads)
+tenantConfig(uint32_t tenants)
 {
     sim::ExperimentOptions opts;
     opts.cores = 2;
@@ -151,7 +151,6 @@ tenantConfig(uint32_t tenants, uint32_t sim_threads)
     sim::SystemConfig cfg = sim::makeConfig("mcf", "silcfm", opts);
     cfg.tenants = tenants;
     cfg.tenant_churn_interval = 2'000;
-    cfg.sim_threads = sim_threads;
     return cfg;
 }
 
@@ -159,7 +158,7 @@ tenantConfig(uint32_t tenants, uint32_t sim_threads)
 
 TEST(TenantsSystem, MultiTenantRunCompletes)
 {
-    sim::System system(tenantConfig(4, 1));
+    sim::System system(tenantConfig(4));
     sim::SimResult r = system.run();
     EXPECT_FALSE(r.hit_tick_limit);
     EXPECT_EQ(r.instructions, 80'000u);
@@ -175,25 +174,11 @@ TEST(TenantsSystem, MultiTenantRunCompletes)
     EXPECT_GT(total, 0u);
 }
 
-TEST(TenantsSystem, DeterministicAcrossSimThreads)
-{
-    // The SILC_THREADS x SILC_SIM_THREADS determinism contract extends
-    // to multi-tenant runs: identical results whichever loop runs them.
-    sim::SimResult seq = sim::System(tenantConfig(4, 1)).run();
-    sim::SimResult par = sim::System(tenantConfig(4, 2)).run();
-    EXPECT_EQ(seq.ticks, par.ticks);
-    EXPECT_EQ(seq.instructions, par.instructions);
-    EXPECT_EQ(seq.llc_misses, par.llc_misses);
-    EXPECT_EQ(seq.nm_total_bytes, par.nm_total_bytes);
-    EXPECT_EQ(seq.fm_total_bytes, par.fm_total_bytes);
-    EXPECT_EQ(seq.migration_bytes, par.migration_bytes);
-}
-
 TEST(TenantsSystem, DistinctTenantCountsDiverge)
 {
     // Consolidation must actually change the reference stream.
-    sim::SimResult two = sim::System(tenantConfig(2, 1)).run();
-    sim::SimResult four = sim::System(tenantConfig(4, 1)).run();
+    sim::SimResult two = sim::System(tenantConfig(2)).run();
+    sim::SimResult four = sim::System(tenantConfig(4)).run();
     EXPECT_NE(two.ticks, four.ticks);
 }
 
@@ -201,7 +186,7 @@ TEST(TenantsSystem, ShadowCheckedMultiTenantRun)
 {
     // The scheme-agnostic shadow oracle must hold under tenant churn
     // (it fatal()s on the first violation, so completing is the pass).
-    sim::SystemConfig cfg = tenantConfig(3, 1);
+    sim::SystemConfig cfg = tenantConfig(3);
     cfg.check = true;
     cfg.instructions_per_core = 20'000;
     sim::SimResult r = sim::System(cfg).run();
