@@ -12,9 +12,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/knobs.hh"
 #include "sim/result_writer.hh"
 #include "trace/profiles.hh"
 
@@ -27,8 +27,7 @@ main(int argc, char **argv)
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     ResultWriter writer(jsonOutputPath(argc, argv), opts);
 
-    const char *w = std::getenv("SILC_WORKLOAD");
-    const std::string workload = w != nullptr ? w : "mcf";
+    const std::string workload = knobs::text("SILC_WORKLOAD", "mcf");
     trace::findProfile(workload); // validate before building the system
 
     SystemConfig cfg = makeConfig(workload, opts.scheme, opts);

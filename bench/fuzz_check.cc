@@ -13,12 +13,13 @@
  *   fuzz_check [--scheme NAME|all] [--campaigns N] [--accesses M]
  *              [--seed S] [--replay FILE]
  *
- * The base seed defaults to the SILC_FUZZ_SEED environment variable
- * (then 1); campaign c uses seed S + c.  A seed's trace is the same
- * under every scheme, so --scheme only selects which policy replays
- * it.  --replay re-runs one recorded trace under the campaign derived
- * from --seed and --scheme (print-outs of failures name the exact
- * command).  Exit status: 0 clean, 1 divergence.
+ * The base seed defaults to 1; campaign c uses seed S + c.  The count
+ * flags take strict decimals (--campaigns and --accesses at least 1);
+ * anything else is fatal.  A seed's trace is the same under every
+ * scheme, so --scheme only selects which policy replays it.  --replay
+ * re-runs one recorded trace under the campaign derived from --seed
+ * and --scheme (print-outs of failures name the exact command).  Exit
+ * status: 0 clean, 1 divergence.
  *
  * Registered in ctest as one `fuzz_check --scheme X --campaigns 25`
  * entry per registered scheme so every tier-1 run fuzzes the whole
@@ -27,25 +28,17 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "check/campaign.hh"
-#include "common/config.hh"
+#include "common/knobs.hh"
 #include "policy/registry.hh"
 #include "trace/fuzz.hh"
 
 using namespace silc;
 
 namespace {
-
-uint64_t
-envSeed()
-{
-    const char *v = std::getenv("SILC_FUZZ_SEED");
-    return v == nullptr ? 1 : parseSize(v);
-}
 
 int
 reportAndPersist(const check::CampaignConfig &cfg,
@@ -120,7 +113,7 @@ main(int argc, char **argv)
 {
     uint64_t campaigns = 25;
     uint64_t accesses = 4000;
-    uint64_t base_seed = envSeed();
+    uint64_t base_seed = 1;
     std::string scheme = "silcfm";
     std::string replay_path;
 
@@ -135,11 +128,15 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--campaigns") {
-            campaigns = parseSize(value("--campaigns"));
+            campaigns = knobs::parseCount("--campaigns",
+                                          value("--campaigns"), 1,
+                                          UINT64_MAX);
         } else if (arg == "--accesses") {
-            accesses = parseSize(value("--accesses"));
+            accesses = knobs::parseCount("--accesses", value("--accesses"),
+                                         1, UINT64_MAX);
         } else if (arg == "--seed") {
-            base_seed = parseSize(value("--seed"));
+            base_seed = knobs::parseCount("--seed", value("--seed"), 0,
+                                          UINT64_MAX);
         } else if (arg == "--scheme") {
             scheme = value("--scheme");
         } else if (arg == "--replay") {

@@ -6,13 +6,14 @@
  * and migration overhead per point — the numbers an architect would use
  * to size the stack.
  *
- *     ./example_capacity_planning [workload=mcf] [policy=silcfm]
+ *     SILC_WORKLOAD=mcf SILC_SCHEME=silcfm ./example_capacity_planning
  */
 
 #include <cstdio>
 #include <vector>
 
-#include "common/config.hh"
+#include "common/knobs.hh"
+#include "common/logging.hh"
 #include "policy/registry.hh"
 #include "sim/experiment.hh"
 
@@ -21,13 +22,12 @@ using namespace silc;
 int
 main(int argc, char **argv)
 {
-    Config cli = Config::fromArgs(argc, argv);
-    const std::string workload = cli.getString("workload", "mcf");
-    const std::string scheme = policy::SchemeRegistry::instance()
-                                   .resolve(cli.getString("policy", "silcfm"))
-                                   .name;
-
-    sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
+    if (argc > 1)
+        fatal("unexpected argument '%s': set SILC_* knobs instead", argv[1]);
+    const sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
+    const std::string workload = knobs::text("SILC_WORKLOAD", "mcf");
+    const std::string scheme =
+        policy::SchemeRegistry::instance().resolve(opts.scheme).name;
     sim::ExperimentRunner runner(opts);
 
     std::printf("== NM capacity planning: %s under %s ==\n",

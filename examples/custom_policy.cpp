@@ -8,13 +8,14 @@
  * (one bulk 2KB migration each); everything else stays in FM.  It is a
  * deliberately simple contrast to SILC-FM's adaptive subblocking.
  *
- *     ./example_custom_policy [workload=omnet]
+ *     SILC_WORKLOAD=omnet ./example_custom_policy
  */
 
 #include <cstdio>
 #include <unordered_map>
 
-#include "common/config.hh"
+#include "common/knobs.hh"
+#include "common/logging.hh"
 #include "policy/policy.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -125,9 +126,10 @@ class FirstTouchPinPolicy : public FlatMemoryPolicy
 int
 main(int argc, char **argv)
 {
-    Config cli = Config::fromArgs(argc, argv);
-    const std::string workload = cli.getString("workload", "omnet");
-    sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
+    if (argc > 1)
+        fatal("unexpected argument '%s': set SILC_* knobs instead", argv[1]);
+    const sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
+    const std::string workload = knobs::text("SILC_WORKLOAD", "omnet");
     sim::ExperimentRunner runner(opts);
 
     std::printf("== custom policy vs built-ins on %s ==\n\n",

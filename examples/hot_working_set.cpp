@@ -9,12 +9,13 @@
  * +bypass), the locking activity, and predictor/history statistics —
  * the paper's Figure 6 story for one workload, with introspection.
  *
- *     ./example_hot_working_set [workload=xalanc]
+ *     SILC_WORKLOAD=xalanc ./example_hot_working_set
  */
 
 #include <cstdio>
 
-#include "common/config.hh"
+#include "common/knobs.hh"
+#include "common/logging.hh"
 #include "core/silc_fm.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -36,9 +37,10 @@ struct Variant
 int
 main(int argc, char **argv)
 {
-    Config cli = Config::fromArgs(argc, argv);
-    const std::string workload = cli.getString("workload", "xalanc");
-    sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
+    if (argc > 1)
+        fatal("unexpected argument '%s': set SILC_* knobs instead", argv[1]);
+    const sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
+    const std::string workload = knobs::text("SILC_WORKLOAD", "xalanc");
     sim::ExperimentRunner runner(opts);
 
     std::printf("== hot working set on %s: SILC-FM feature ladder ==\n\n",

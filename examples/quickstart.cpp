@@ -1,17 +1,18 @@
 /**
  * @file
  * Quickstart: build a system, run one workload under SILC-FM, and print
- * the headline metrics.
+ * the headline metrics and the per-component statistics.
  *
- *     ./example_quickstart [workload=mcf] [policy=silcfm] [cores=8] ...
+ *     SILC_WORKLOAD=mcf SILC_SCHEME=silcfm SILC_CORES=8 ./example_quickstart
  *
- * Any SystemConfig scale knob can be overridden with key=value pairs.
+ * Scale comes from the SILC_* knobs that README.md lists.
  */
 
 #include <cstdio>
 #include <sstream>
 
-#include "common/config.hh"
+#include "common/knobs.hh"
+#include "common/logging.hh"
 #include "policy/registry.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -22,22 +23,13 @@ using namespace silc;
 int
 main(int argc, char **argv)
 {
-    Config cli = Config::fromArgs(argc, argv);
-
-    sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
-    opts.cores = static_cast<uint32_t>(cli.getU64("cores", opts.cores));
-    opts.instructions_per_core =
-        cli.getU64("instructions", opts.instructions_per_core);
-    opts.nm_bytes = cli.getU64("nm", opts.nm_bytes);
-    opts.fm_bytes = cli.getU64("fm", opts.fm_bytes);
-    opts.seed = cli.getU64("seed", opts.seed);
-
-    const std::string workload = cli.getString("workload", "mcf");
-    // Aliases (cameo, silc) resolve here; unknown names die with the
-    // list of registered schemes.
-    const std::string scheme = policy::SchemeRegistry::instance()
-                                   .resolve(cli.getString("policy", "silcfm"))
-                                   .name;
+    if (argc > 1)
+        fatal("unexpected argument '%s': set SILC_* knobs instead", argv[1]);
+    const sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
+    const std::string workload = knobs::text("SILC_WORKLOAD", "mcf");
+    // Aliases (cameo, silc) resolve to their canonical scheme here.
+    const std::string scheme =
+        policy::SchemeRegistry::instance().resolve(opts.scheme).name;
 
     std::printf("== SILC-FM quickstart ==\n");
     std::printf("workload   : %s (%s MPKI class)\n", workload.c_str(),
@@ -78,15 +70,9 @@ main(int argc, char **argv)
     std::printf("energy         : %.2f mJ (EDP %.3e Js)\n",
                 r.energy_total_j * 1e3, r.edp);
 
-    if (cli.getBool("stats", false)) {
-        std::printf("\n-- component statistics --\n");
-        std::ostringstream os;
-        system.dumpStats(os);
-        std::fputs(os.str().c_str(), stdout);
-    }
-
-    const auto unused = cli.unusedKeys();
-    for (const auto &key : unused)
-        warn("unused option '%s'", key.c_str());
+    std::printf("\n-- component statistics --\n");
+    std::ostringstream os;
+    system.dumpStats(os);
+    std::fputs(os.str().c_str(), stdout);
     return 0;
 }

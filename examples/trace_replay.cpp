@@ -6,13 +6,16 @@
  * different memory organizations for an apples-to-apples comparison —
  * replayed runs are bit-identical across schemes and machines.
  *
- *     ./example_trace_replay [workload=omnet] [instructions=400k]
+ *     SILC_WORKLOAD=omnet SILC_INSTR=400000 ./example_trace_replay [OUT]
+ *
+ * OUT is the trace file to write (default /tmp/silcfm_example.trace).
  */
 
 #include <cstdio>
 #include <string>
 
-#include "common/config.hh"
+#include "common/knobs.hh"
+#include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "trace/file_trace.hh"
@@ -23,11 +26,12 @@ using namespace silc;
 int
 main(int argc, char **argv)
 {
-    Config cli = Config::fromArgs(argc, argv);
-    const std::string workload = cli.getString("workload", "omnet");
-    const uint64_t instructions = cli.getU64("instructions", 400'000);
+    if (argc > 2)
+        fatal("unexpected argument '%s': set SILC_* knobs instead", argv[2]);
+    const std::string workload = knobs::text("SILC_WORKLOAD", "omnet");
+    const uint64_t instructions = knobs::count("SILC_INSTR", 400'000);
     const std::string path =
-        cli.getString("out", "/tmp/silcfm_example.trace");
+        argc > 1 ? argv[1] : "/tmp/silcfm_example.trace";
 
     // 1. Record.
     {

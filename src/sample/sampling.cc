@@ -1,13 +1,11 @@
 #include "sample/sampling.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <future>
 #include <memory>
 
-#include "common/env.hh"
+#include "common/knobs.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "core/silc_fm.hh"
@@ -18,23 +16,6 @@ namespace silc {
 namespace sample {
 
 namespace {
-
-/** Strict non-negative double knob (CI targets are fractions). */
-double
-envNonNegativeDouble(const char *name, double fallback)
-{
-    const char *raw = std::getenv(name);
-    if (raw == nullptr)
-        return fallback;
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(raw, &end);
-    if (end == raw || *end != '\0' || errno == ERANGE || !(v >= 0.0)) {
-        fatal("%s: expected a non-negative number, got \"%s\"", name,
-              raw);
-    }
-    return v;
-}
 
 /** The metrics a window sample exposes to aggregation, ipc first. */
 struct MetricDef
@@ -93,13 +74,12 @@ SamplingConfig
 SamplingConfig::fromEnv()
 {
     SamplingConfig c;
-    c.period = envPositiveCount("SILC_SAMPLE_PERIOD", c.period);
-    c.window = envPositiveCount("SILC_SAMPLE_WINDOW", c.window);
-    c.warmup = envPositiveCount("SILC_SAMPLE_WARMUP", c.warmup);
-    c.min_windows = static_cast<uint32_t>(envPositiveCount(
-        "SILC_SAMPLE_MIN_WINDOWS", c.min_windows, 1'000'000));
-    c.ci_target =
-        envNonNegativeDouble("SILC_SAMPLE_CI_TARGET", c.ci_target);
+    c.period = knobs::count("SILC_SAMPLE_PERIOD", c.period);
+    c.window = knobs::count("SILC_SAMPLE_WINDOW", c.window);
+    c.warmup = knobs::count("SILC_SAMPLE_WARMUP", c.warmup);
+    c.min_windows = static_cast<uint32_t>(
+        knobs::count("SILC_SAMPLE_MIN_WINDOWS", c.min_windows));
+    c.ci_target = knobs::fraction("SILC_SAMPLE_CI_TARGET", c.ci_target);
     return c;
 }
 

@@ -32,14 +32,8 @@
  * Determinism: warming is sequential; every replay runs the sequential
  * loop from a byte-exact blob; windows are collected in checkpoint order and
  * early stopping is evaluated only at fixed batch boundaries — so
- * results are byte-identical across SILC_THREADS values.
- *
- * Environment knobs (see also sim/experiment.hh):
- *   SILC_SAMPLE_PERIOD      per-core instructions between checkpoints
- *   SILC_SAMPLE_WINDOW      measured detailed instructions per core
- *   SILC_SAMPLE_WARMUP      discarded detailed warmup per core
- *   SILC_SAMPLE_MIN_WINDOWS minimum windows before early stopping
- *   SILC_SAMPLE_CI_TARGET   relative IPC CI half-width target (0 = off)
+ * results are byte-identical across SILC_THREADS values.  The
+ * SILC_SAMPLE_* knobs are rows of the table in common/knobs.hh.
  */
 
 #ifndef SILC_SAMPLE_SAMPLING_HH

@@ -2,67 +2,42 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
-#include "common/config.hh"
-#include "common/env.hh"
+#include "common/knobs.hh"
 #include "common/logging.hh"
 #include "policy/registry.hh"
 
 namespace silc {
 namespace sim {
 
-namespace {
-
-uint64_t
-envU64(const char *name, uint64_t def)
-{
-    const char *v = std::getenv(name);
-    return v == nullptr ? def : parseSize(v);
-}
-
-} // namespace
-
 ExperimentOptions
 ExperimentOptions::fromEnv()
 {
     ExperimentOptions o;
-    // Validated parsing throughout: the historical envU64 path accepted
-    // 0 cores / 0 instructions (hangs or divides by zero downstream),
-    // silently truncated SILC_CORES through a uint32_t cast, and
-    // wrapped SILC_*_MIB values above 2^44 in the <<20 conversion.
-    o.cores = static_cast<uint32_t>(
-        envPositiveCount("SILC_CORES", o.cores, 1024));
-    o.instructions_per_core = envPositiveCount(
-        "SILC_INSTR", o.instructions_per_core, 1'000'000'000'000ULL);
-    o.nm_bytes = envMebibytes("SILC_NM_MIB", o.nm_bytes);
-    o.fm_bytes = envMebibytes("SILC_FM_MIB", o.fm_bytes);
-    o.seed = envU64("SILC_SEED", o.seed);
-    if (const char *s = std::getenv("SILC_SCHEME")) {
-        // Validate eagerly so a typo fails at startup, not mid-bench.
-        const auto &reg = policy::SchemeRegistry::instance();
-        if (!reg.known(s)) {
-            std::string names;
-            for (const std::string &n : reg.names()) {
-                if (!names.empty())
-                    names += ", ";
-                names += n;
-            }
-            fatal("SILC_SCHEME: unknown scheme '%s' (known schemes: %s)",
-                  s, names.c_str());
+    o.cores = static_cast<uint32_t>(knobs::count("SILC_CORES", o.cores));
+    o.instructions_per_core =
+        knobs::count("SILC_INSTR", o.instructions_per_core);
+    o.nm_bytes = knobs::mebibytes("SILC_NM_MIB", o.nm_bytes);
+    o.fm_bytes = knobs::mebibytes("SILC_FM_MIB", o.fm_bytes);
+    o.seed = knobs::count("SILC_SEED", o.seed);
+    o.scheme = knobs::text("SILC_SCHEME", o.scheme);
+    // Validate eagerly so a typo fails at startup, not mid-bench.
+    const auto &reg = policy::SchemeRegistry::instance();
+    if (!reg.known(o.scheme)) {
+        std::string names;
+        for (const std::string &n : reg.names()) {
+            if (!names.empty())
+                names += ", ";
+            names += n;
         }
-        o.scheme = s;
+        fatal("SILC_SCHEME: unknown scheme '%s' (known schemes: %s)",
+              o.scheme.c_str(), names.c_str());
     }
-    o.telemetry = envU64("SILC_TELEMETRY", o.telemetry ? 1 : 0) != 0;
-    o.epoch_ticks = envU64("SILC_EPOCH_TICKS", o.epoch_ticks);
-    o.check = envU64("SILC_CHECK", o.check ? 1 : 0) != 0;
-    o.tenants = static_cast<uint32_t>(
-        envPositiveCount("SILC_TENANTS", o.tenants, 256));
-    // Mem ops, not threads; 0 would be "never churn" but unset already
-    // means that, so an explicit 0 is junk.
-    o.tenant_churn = envPositiveCount("SILC_TENANT_CHURN",
-                                      o.tenant_churn,
-                                      1'000'000'000'000ULL);
+    o.epoch_ticks = knobs::count("SILC_EPOCH_TICKS", o.epoch_ticks);
+    o.check = knobs::flag("SILC_CHECK", o.check);
+    o.tenants =
+        static_cast<uint32_t>(knobs::count("SILC_TENANTS", o.tenants));
+    o.tenant_churn = knobs::count("SILC_TENANT_CHURN", o.tenant_churn);
     return o;
 }
 
@@ -93,7 +68,6 @@ makeConfig(const std::string &workload, const std::string &scheme,
     cfg.hma.max_migrations_per_epoch = 256;
     // PoM's competing-counter threshold, scaled like the others.
     cfg.pom.migration_threshold = 48;
-    cfg.telemetry.enabled = opts.telemetry;
     cfg.telemetry.epoch_ticks = opts.epoch_ticks;
     cfg.tenants = opts.tenants;
     cfg.tenant_churn_interval = opts.tenant_churn;

@@ -3,7 +3,7 @@
 #include <cinttypes>
 #include <utility>
 
-#include "common/env.hh"
+#include "common/knobs.hh"
 #include "common/logging.hh"
 #include "policy/registry.hh"
 #include "sim/result_writer.hh"
@@ -15,7 +15,8 @@ unsigned
 parallelThreadsFromEnv()
 {
     const unsigned hw = std::thread::hardware_concurrency();
-    return envThreadCount("SILC_THREADS", hw == 0 ? 1 : hw);
+    return static_cast<unsigned>(
+        knobs::count("SILC_THREADS", hw == 0 ? 1 : hw));
 }
 
 ThreadPool::ThreadPool(unsigned threads)
@@ -127,8 +128,6 @@ ParallelRunner::setJsonPath(std::string path)
         warn("setJsonPath after submissions: earlier runs are not "
              "recorded in %s", path.c_str());
     json_path_ = std::move(path);
-    // Every recorded run should carry its time series.
-    opts_.telemetry = true;
 }
 
 void
@@ -149,8 +148,7 @@ ParallelRunner::Job
 ParallelRunner::submitJob(SystemConfig cfg, bool is_baseline)
 {
     if (!json_path_.empty() && !cfg.telemetry.enabled) {
-        // submitConfig callers may have built the config before
-        // setJsonPath; keep the recorded document uniform.
+        // Every recorded run embeds its epoch time series.
         cfg.telemetry.enabled = true;
         cfg.telemetry.epoch_ticks = opts_.epoch_ticks;
     }

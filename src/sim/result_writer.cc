@@ -1,10 +1,10 @@
 #include "sim/result_writer.hh"
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <utility>
 
+#include "common/knobs.hh"
 #include "common/logging.hh"
 #include "sample/sampling.hh"
 #include "telemetry/json.hh"
@@ -29,8 +29,7 @@ jsonOutputPath(int argc, char *const argv[])
         if (std::strncmp(a, "--json=", 7) == 0)
             return a + 7;
     }
-    const char *env = std::getenv("SILC_JSON");
-    return env == nullptr ? std::string() : std::string(env);
+    return knobs::text("SILC_JSON", "");
 }
 
 namespace {

@@ -1,20 +1,17 @@
 /**
  * @file
  * Capacity-edge regression tests: paper-scale structure sizes, the
- * sparse metadata representations, the 32-bit truncation guards in the
- * rival policies, and the validated environment parsing of the scale
- * knobs.  Everything here must stay cheap — the point of the sparse
- * representations is that a 1 GiB-NM structure costs memory only for
- * what a run actually touches, and these tests construct such
+ * sparse metadata representations and the 32-bit truncation guards in
+ * the rival policies.  Everything here must stay cheap — the point of
+ * the sparse representations is that a 1 GiB-NM structure costs memory
+ * only for what a run actually touches, and these tests construct such
  * structures directly.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 
-#include "common/env.hh"
 #include "common/serialize.hh"
 #include "common/sparse_array.hh"
 #include "core/bitvector_table.hh"
@@ -42,20 +39,6 @@ capacityConfig(const std::string &scheme, uint64_t nm_bytes,
     opts.fm_bytes = fm_bytes;
     return makeConfig("mcf", scheme, opts);
 }
-
-/** RAII environment override for the fromEnv death tests. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        setenv(name, value, 1);
-    }
-    ~ScopedEnv() { unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
 
 } // namespace
 
@@ -242,55 +225,3 @@ TEST_F(CapacityGuards, CameoAcceptsRatio255)
     EXPECT_EQ(p.flatSpaceBytes(), 256_MiB);
 }
 
-// ---- Validated environment parsing ------------------------------------------
-
-TEST(CapacityEnv, MebibyteKnobsValidate)
-{
-    {
-        ScopedEnv e("SILC_NM_MIB", "1024");
-        EXPECT_EQ(ExperimentOptions::fromEnv().nm_bytes,
-                  1024ULL << 20);
-    }
-    {
-        ScopedEnv e("SILC_NM_MIB", "0");
-        EXPECT_DEATH(ExperimentOptions::fromEnv(),
-                     "SILC_NM_MIB must be positive");
-    }
-    {
-        ScopedEnv e("SILC_NM_MIB", "4goofy");
-        EXPECT_DEATH(ExperimentOptions::fromEnv(),
-                     "SILC_NM_MIB must be a positive integer");
-    }
-    {
-        // 2 TiB in MiB: over the 1 TiB cap (and on the old unvalidated
-        // path, values above 2^44 wrapped the <<20 silently).
-        ScopedEnv e("SILC_FM_MIB", "2097152");
-        EXPECT_DEATH(ExperimentOptions::fromEnv(),
-                     "SILC_FM_MIB=2097152 exceeds the supported maximum");
-    }
-}
-
-TEST(CapacityEnv, CoreAndInstructionKnobsValidate)
-{
-    {
-        ScopedEnv e("SILC_CORES", "0");
-        EXPECT_DEATH(ExperimentOptions::fromEnv(),
-                     "SILC_CORES must be positive");
-    }
-    {
-        // The old uint32_t cast would have truncated this to 0 cores.
-        ScopedEnv e("SILC_CORES", "4294967296");
-        EXPECT_DEATH(ExperimentOptions::fromEnv(),
-                     "SILC_CORES=4294967296 exceeds");
-    }
-    {
-        ScopedEnv e("SILC_INSTR", "0");
-        EXPECT_DEATH(ExperimentOptions::fromEnv(),
-                     "SILC_INSTR must be positive");
-    }
-    {
-        ScopedEnv e("SILC_TENANTS", "257");
-        EXPECT_DEATH(ExperimentOptions::fromEnv(),
-                     "SILC_TENANTS=257 exceeds");
-    }
-}

@@ -1,26 +1,32 @@
 /**
  * @file
  * Unit tests for the common substrate: types/address math, event queue,
- * statistics, RNG/Zipf, config parsing, and the subblock bit vector.
+ * statistics, RNG/Zipf, the SILC_* knob table, and the subblock bit
+ * vector.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 #include <memory>
+#include <regex>
+#include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitvector.hh"
-#include "common/config.hh"
-#include "common/env.hh"
 #include "common/event_queue.hh"
+#include "common/knobs.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel.hh"
+#include "scoped_env.hh"
 
 using namespace silc;
 
@@ -414,46 +420,6 @@ TEST(Zipf, SamplesInRange)
         EXPECT_LT(z.sample(rng), 37u);
 }
 
-// ---- config ----------------------------------------------------------------
-
-TEST(Config, ParseSizeSuffixes)
-{
-    EXPECT_EQ(parseSize("64"), 64u);
-    EXPECT_EQ(parseSize("4k"), 4096u);
-    EXPECT_EQ(parseSize("16m"), uint64_t(16) << 20);
-    EXPECT_EQ(parseSize("2g"), uint64_t(2) << 30);
-    EXPECT_EQ(parseSize("0x10"), 16u);
-}
-
-TEST(Config, TypedAccessors)
-{
-    Config cfg = Config::fromTokens(
-        {"cores=16", "rate=0.8", "flag=true", "name=mcf"});
-    EXPECT_EQ(cfg.getU64("cores", 1), 16u);
-    EXPECT_DOUBLE_EQ(cfg.getDouble("rate", 0.0), 0.8);
-    EXPECT_TRUE(cfg.getBool("flag", false));
-    EXPECT_EQ(cfg.getString("name", ""), "mcf");
-    EXPECT_EQ(cfg.getU64("missing", 7), 7u);
-}
-
-TEST(Config, TracksUnusedKeys)
-{
-    Config cfg = Config::fromTokens({"a=1", "b=2"});
-    (void)cfg.getU64("a", 0);
-    auto unused = cfg.unusedKeys();
-    ASSERT_EQ(unused.size(), 1u);
-    EXPECT_EQ(unused[0], "b");
-}
-
-TEST(Config, OverwriteKeepsSingleKey)
-{
-    Config cfg;
-    cfg.set("x", "1");
-    cfg.set("x", "2");
-    EXPECT_EQ(cfg.getU64("x", 0), 2u);
-    EXPECT_EQ(cfg.keys().size(), 1u);
-}
-
 // ---- bit vector -------------------------------------------------------------
 
 TEST(SubblockVector, StartsEmpty)
@@ -570,13 +536,6 @@ TEST(Stats, DuplicateNamePanics)
     EXPECT_DEATH(set.add("x", b), "duplicate");
 }
 
-TEST(Config, MalformedTokensFatal)
-{
-    EXPECT_DEATH(Config::fromTokens({"noequals"}), "key=value");
-    Config cfg = Config::fromTokens({"x=abc"});
-    EXPECT_DEATH(cfg.getU64("x", 0), "malformed");
-}
-
 TEST(SubblockVector, IndependenceOfBits)
 {
     SubblockVector bv;
@@ -587,136 +546,261 @@ TEST(SubblockVector, IndependenceOfBits)
     EXPECT_EQ(bv.count(), 16u);
 }
 
-// ---- env knob parsing ----------------------------------------------------
+// ---- SILC_* knob table --------------------------------------------------
 
 namespace {
 
-/** RAII environment variable for the env-parsing tests. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        setenv(name, value, 1);
-    }
-    ~ScopedEnv() { unsetenv(name_); }
+using knobs::Kind;
+using knobs::Knob;
 
-  private:
-    const char *name_;
+/** Read @p k through the reader its kind selects, rendered as text. */
+std::string
+readKnob(const Knob &k)
+{
+    switch (k.kind) {
+      case Kind::Count:
+        return std::to_string(knobs::count(k.name, 77));
+      case Kind::Mebibytes:
+        return std::to_string(knobs::mebibytes(k.name, 77));
+      case Kind::Flag:
+        return knobs::flag(k.name, true) ? "1" : "0";
+      case Kind::Fraction:
+        return std::to_string(knobs::fraction(k.name, 0.5));
+      case Kind::Text:
+        return knobs::text(k.name, "fallback");
+    }
+    return "";
+}
+
+/** What readKnob() returns for an unset knob. */
+std::string
+fallbackOf(const Knob &k)
+{
+    switch (k.kind) {
+      case Kind::Count:
+      case Kind::Mebibytes:
+        return "77";
+      case Kind::Flag:
+        return "1";
+      case Kind::Fraction:
+        return std::to_string(0.5);
+      case Kind::Text:
+        return "fallback";
+    }
+    return "";
+}
+
+/** (value, readKnob() result) pairs that must parse. */
+std::vector<std::pair<std::string, std::string>>
+validValues(const Knob &k)
+{
+    const std::string lo = std::to_string(k.min);
+    const std::string hi = std::to_string(k.max);
+    switch (k.kind) {
+      case Kind::Count:
+        return {{lo, lo}, {hi, hi}};
+      case Kind::Mebibytes:
+        return {{lo, std::to_string(k.min << 20)},
+                {hi, std::to_string(k.max << 20)}};
+      case Kind::Flag:
+        return {{"0", "0"}, {"1", "1"}};
+      case Kind::Fraction:
+        return {{"0", std::to_string(0.0)},
+                {"0.25", std::to_string(0.25)},
+                {"1e-3", std::to_string(0.001)}};
+      case Kind::Text:
+        return {{"mcf", "mcf"}};
+    }
+    return {};
+}
+
+/** Values that must be fatal, naming the knob. */
+std::vector<std::string>
+badValues(const Knob &k)
+{
+    switch (k.kind) {
+      case Kind::Count:
+      case Kind::Mebibytes: {
+        std::vector<std::string> bad = {"", "abc", "4abc", " 4", "4 ",
+                                        "-1", "+4", "0x10", "7k",
+                                        "99999999999999999999"};
+        bad.push_back(k.max == UINT64_MAX ? "18446744073709551616"
+                                          : std::to_string(k.max + 1));
+        if (k.min >= 1)
+            bad.push_back("0");
+        return bad;
+      }
+      case Kind::Flag:
+        return {"", "2", "true", "yes", " 1", "-1"};
+      case Kind::Fraction:
+        return {"", "abc", "4abc", " 4", "-1", "+1", "0x10", "inf",
+                "nan", "1e999"};
+      case Kind::Text:
+        return {""};
+    }
+    return {};
+}
+
+class KnobRow : public testing::TestWithParam<Knob>
+{
 };
 
 } // namespace
 
-TEST(Env, UnsetReturnsFallback)
+namespace silc::knobs {
+
+/** Name the row in gtest failure messages. */
+void
+PrintTo(const Knob &k, std::ostream *os)
 {
-    unsetenv("SILC_TEST_KNOB");
-    EXPECT_EQ(envPositiveCount("SILC_TEST_KNOB", 42), 42u);
-    EXPECT_EQ(envThreadCount("SILC_TEST_KNOB", 3), 3u);
+    *os << k.name;
 }
 
-TEST(Env, PlainDecimalParses)
+} // namespace silc::knobs
+
+TEST_P(KnobRow, UnsetGivesFallback)
 {
-    ScopedEnv e("SILC_TEST_KNOB", "17");
-    EXPECT_EQ(envPositiveCount("SILC_TEST_KNOB", 1), 17u);
+    ::unsetenv(GetParam().name);
+    EXPECT_EQ(readKnob(GetParam()), fallbackOf(GetParam()));
 }
 
-TEST(EnvDeath, EmptyValueFatal)
+TEST_P(KnobRow, ValidValuesParse)
 {
-    ScopedEnv e("SILC_TEST_KNOB", "");
-    EXPECT_DEATH(envPositiveCount("SILC_TEST_KNOB", 1),
-                 "SILC_TEST_KNOB");
+    for (const auto &[value, expected] : validValues(GetParam())) {
+        ScopedEnv e(GetParam().name, value.c_str());
+        EXPECT_EQ(readKnob(GetParam()), expected) << "value '" << value
+                                                  << "'";
+    }
 }
 
-TEST(EnvDeath, LeadingWhitespaceFatal)
+TEST_P(KnobRow, BadValuesAreFatalAndNameTheKnob)
 {
-    ScopedEnv e("SILC_TEST_KNOB", " 4");
-    EXPECT_DEATH(envPositiveCount("SILC_TEST_KNOB", 1),
-                 "SILC_TEST_KNOB");
+    for (const std::string &value : badValues(GetParam())) {
+        ScopedEnv e(GetParam().name, value.c_str());
+        EXPECT_EXIT(readKnob(GetParam()), testing::ExitedWithCode(1),
+                    GetParam().name)
+            << "value '" << value << "'";
+    }
 }
 
-TEST(EnvDeath, TrailingWhitespaceFatal)
+INSTANTIATE_TEST_SUITE_P(
+    AllKnobs, KnobRow,
+    testing::ValuesIn(knobs::table().begin(), knobs::table().end()),
+    [](const testing::TestParamInfo<Knob> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(KnobsDeath, UnlistedNameOrWrongKindPanics)
 {
-    ScopedEnv e("SILC_TEST_KNOB", "4 ");
-    EXPECT_DEATH(envPositiveCount("SILC_TEST_KNOB", 1),
-                 "SILC_TEST_KNOB");
+    EXPECT_DEATH(knobs::count("SILC_NOT_A_KNOB", 1), "not in the knob table");
+    EXPECT_DEATH(knobs::flag("SILC_CORES", false), "wrong kind");
 }
 
-TEST(EnvDeath, HexPrefixFatal)
+// Values the pre-table parsers accepted or misreported.
+
+TEST(KnobsDeath, NegativeAndOverflowingSeedFatal)
 {
-    // "0x10" must not silently read as 0 (or as 16): trailing junk.
-    ScopedEnv e("SILC_TEST_KNOB", "0x10");
-    EXPECT_DEATH(envPositiveCount("SILC_TEST_KNOB", 1),
-                 "SILC_TEST_KNOB");
+    {
+        ScopedEnv e("SILC_SEED", "-1");
+        EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SEED");
+    }
+    {
+        ScopedEnv e("SILC_SEED", "99999999999999999999");
+        EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SEED");
+    }
 }
 
-TEST(EnvDeath, ZeroFatal)
+TEST(KnobsDeath, CheckTrueFatalNamingTheKnob)
 {
-    ScopedEnv e("SILC_TEST_KNOB", "0");
-    EXPECT_DEATH(envPositiveCount("SILC_TEST_KNOB", 1),
-                 "SILC_TEST_KNOB");
+    ScopedEnv e("SILC_CHECK", "true");
+    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(),
+                 "SILC_CHECK must be 0 or 1, got 'true'");
 }
 
-TEST(EnvDeath, NegativeFatal)
+TEST(KnobsDeath, ZeroEpochTicksFatalAtStartup)
 {
-    ScopedEnv e("SILC_TEST_KNOB", "-4");
-    EXPECT_DEATH(envPositiveCount("SILC_TEST_KNOB", 1),
-                 "SILC_TEST_KNOB");
+    ScopedEnv e("SILC_EPOCH_TICKS", "0");
+    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_EPOCH_TICKS");
 }
 
-TEST(EnvDeath, OverflowFatal)
+TEST(KnobsDeath, UnknownSilcVariableFatal)
 {
-    // Larger than UINT64_MAX: strtoull saturates with ERANGE.
-    ScopedEnv e("SILC_TEST_KNOB", "99999999999999999999999999");
-    EXPECT_DEATH(envPositiveCount("SILC_TEST_KNOB", 1),
-                 "SILC_TEST_KNOB");
+    // The environment is scanned once per process, on the first read;
+    // the threadsafe style re-executes the binary so that scan happens
+    // inside the death test even if this process already read a knob.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ScopedEnv e("SILC_CORE", "2");
+    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(),
+                 "SILC_CORE=2 is not a SILC_\\* knob");
 }
 
-TEST(EnvDeath, AboveMaxValueFatal)
+TEST(Knobs, ReadmeListsExactlyTheTable)
 {
-    ScopedEnv e("SILC_TEST_KNOB", "11");
-    EXPECT_DEATH(envPositiveCount("SILC_TEST_KNOB", 1, 10),
-                 "SILC_TEST_KNOB");
+    std::ifstream in(SILC_README_PATH);
+    ASSERT_TRUE(in) << "cannot open " << SILC_README_PATH;
+    std::stringstream text;
+    text << in.rdbuf();
+    const std::string readme = text.str();
+
+    std::set<std::string> documented;
+    const std::regex knob_name("SILC_[A-Z0-9_]*[A-Z0-9]");
+    for (std::sregex_iterator it(readme.begin(), readme.end(), knob_name),
+         end;
+         it != end; ++it)
+        documented.insert(it->str());
+
+    std::set<std::string> table;
+    for (const Knob &k : knobs::table()) {
+        table.insert(k.name);
+        // Each knob has its own row in README's knob table.
+        EXPECT_NE(readme.find(std::string("| `") + k.name + "` |"),
+                  std::string::npos)
+            << k.name;
+    }
+    EXPECT_EQ(documented, table);
+    EXPECT_EQ(table.size(), 18u);
+    EXPECT_EQ(knobs::table().size(), table.size()); // no duplicate rows
 }
 
-TEST(EnvDeath, ThreadCountCapFatal)
+// SILC_SCHEME is validated eagerly against the scheme registry so a
+// typo fails at startup, not minutes into a bench matrix.
+
+TEST(SchemeKnobDeath, UnknownFatal)
 {
-    ScopedEnv e("SILC_TEST_KNOB", "100000");
-    EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1), "SILC_TEST_KNOB");
+    ScopedEnv e("SILC_SCHEME", "alloy");
+    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SCHEME");
 }
 
-// The thread-count knob as SILC_THREADS uses it, and the locale-stable
-// formatting of the CI-parsed [parallel]/[simpar] footers.
-
-TEST(EnvKnobs, UnsetReturnsFallback)
+TEST(SchemeKnobDeath, EmptyFatal)
 {
-    ::unsetenv("SILC_TEST_KNOB");
-    EXPECT_EQ(envThreadCount("SILC_TEST_KNOB", 7u), 7u);
-    EXPECT_EQ(envPositiveCount("SILC_TEST_KNOB", 42), 42u);
+    ScopedEnv e("SILC_SCHEME", "");
+    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SCHEME");
 }
 
-TEST(EnvKnobs, ValidValueParses)
+TEST(SchemeKnobDeath, JunkFatal)
 {
-    ::setenv("SILC_TEST_KNOB", "12", 1);
-    EXPECT_EQ(envThreadCount("SILC_TEST_KNOB", 1u), 12u);
-    ::unsetenv("SILC_TEST_KNOB");
+    // Case matters: registry names are lowercase.
+    ScopedEnv e("SILC_SCHEME", "SILC-FM");
+    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SCHEME");
 }
 
-TEST(EnvKnobs, RejectsZeroJunkAndOverflow)
+TEST(SchemeKnob, ValidNameParses)
 {
-    ::setenv("SILC_TEST_KNOB", "0", 1);
-    EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1u), "positive");
-    ::setenv("SILC_TEST_KNOB", "4abc", 1);
-    EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1u), "positive");
-    ::setenv("SILC_TEST_KNOB", "", 1);
-    EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1u), "positive");
-    ::setenv("SILC_TEST_KNOB", "-3", 1);
-    EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1u), "positive");
-    ::setenv("SILC_TEST_KNOB", "100000", 1);
-    EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1u), "maximum");
-    ::unsetenv("SILC_TEST_KNOB");
+    ScopedEnv e("SILC_SCHEME", "dramcache");
+    EXPECT_EQ(sim::ExperimentOptions::fromEnv().scheme, "dramcache");
 }
 
-TEST(EnvKnobs, FooterFormattingIsLocaleStableFixedPoint)
+TEST(SchemeKnob, AliasParses)
+{
+    // Aliases pass validation; resolution to the canonical scheme
+    // happens at policy-construction time via the registry.
+    ScopedEnv e("SILC_SCHEME", "cameo");
+    EXPECT_EQ(sim::ExperimentOptions::fromEnv().scheme, "cameo");
+}
+
+// The locale-stable formatting of the CI-parsed [parallel] footer.
+
+TEST(ParallelFooter, FixedDecimalIsLocaleStable)
 {
     EXPECT_EQ(sim::fixedDecimal(0.0, 2), "0.00");
     EXPECT_EQ(sim::fixedDecimal(1.234, 2), "1.23");
@@ -725,42 +809,6 @@ TEST(EnvKnobs, FooterFormattingIsLocaleStableFixedPoint)
     EXPECT_EQ(sim::fixedDecimal(0.05, 1), "0.1");
     EXPECT_EQ(sim::fixedDecimal(12.0, 0), "12");
     EXPECT_EQ(sim::fixedDecimal(-1.0, 2), "0.00");  // clamped, never "-"
-}
-
-// SILC_SCHEME is validated eagerly against the scheme registry so a
-// typo fails at startup, not minutes into a bench matrix.
-
-TEST(EnvDeath, SchemeUnknownFatal)
-{
-    ScopedEnv e("SILC_SCHEME", "alloy");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SCHEME");
-}
-
-TEST(EnvDeath, SchemeEmptyFatal)
-{
-    ScopedEnv e("SILC_SCHEME", "");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SCHEME");
-}
-
-TEST(EnvDeath, SchemeJunkFatal)
-{
-    // Case matters: registry names are lowercase.
-    ScopedEnv e("SILC_SCHEME", "SILC-FM");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SCHEME");
-}
-
-TEST(Env, SchemeValidNameParses)
-{
-    ScopedEnv e("SILC_SCHEME", "dramcache");
-    EXPECT_EQ(sim::ExperimentOptions::fromEnv().scheme, "dramcache");
-}
-
-TEST(Env, SchemeAliasParses)
-{
-    // Aliases pass validation; resolution to the canonical scheme
-    // happens at policy-construction time via the registry.
-    ScopedEnv e("SILC_SCHEME", "cameo");
-    EXPECT_EQ(sim::ExperimentOptions::fromEnv().scheme, "cameo");
 }
 
 // ---- distribution percentiles / differencing -----------------------------

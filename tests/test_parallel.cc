@@ -16,6 +16,7 @@
 
 #include "common/logging.hh"
 #include "sim/parallel.hh"
+#include "scoped_env.hh"
 
 using namespace silc;
 using namespace silc::sim;
@@ -80,12 +81,8 @@ TEST(ThreadPoolTest, IdleWorkersStealQueuedWork)
     EXPECT_EQ(shorts.load(), 7);
 }
 
-TEST(ParallelThreadsTest, EnvKnobParsing)
+TEST(ParallelThreadsTest, UnsetKnobFallsBackToHardware)
 {
-    ASSERT_EQ(setenv("SILC_THREADS", "3", 1), 0);
-    EXPECT_EQ(parallelThreadsFromEnv(), 3u);
-    ASSERT_EQ(setenv("SILC_THREADS", "1", 1), 0);
-    EXPECT_EQ(parallelThreadsFromEnv(), 1u);
     ASSERT_EQ(unsetenv("SILC_THREADS"), 0);
     EXPECT_GE(parallelThreadsFromEnv(), 1u);
 }
@@ -98,9 +95,8 @@ TEST(ParallelRunnerTest, BitIdenticalToSequentialRunner)
 
     ExperimentRunner seq(opts);
 
-    ASSERT_EQ(setenv("SILC_THREADS", "4", 1), 0);
+    const ScopedEnv threads("SILC_THREADS", "4");
     ParallelRunner par(opts);  // picks up SILC_THREADS
-    ASSERT_EQ(unsetenv("SILC_THREADS"), 0);
     ASSERT_EQ(par.threads(), 4u);
 
     std::vector<std::vector<ParallelRunner::Job>> jobs(workloads.size());

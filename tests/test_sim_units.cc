@@ -14,6 +14,7 @@
 #include "sim/metrics.hh"
 #include "sim/system.hh"
 #include "sim/translation.hh"
+#include "scoped_env.hh"
 
 using namespace silc;
 using namespace silc::sim;
@@ -262,25 +263,20 @@ TEST(SystemConfigValidation, DefaultBandwidthRatioIsFourToOne)
 TEST(Experiment, EnvOverridesApply)
 {
     // fromEnv honours SILC_* variables (set locally for this test).
-    setenv("SILC_CORES", "3", 1);
-    setenv("SILC_INSTR", "12345", 1);
-    setenv("SILC_SEED", "42", 1);
+    ScopedEnv cores("SILC_CORES", "3");
+    ScopedEnv instr("SILC_INSTR", "12345");
+    ScopedEnv seed("SILC_SEED", "42");
     ExperimentOptions o = ExperimentOptions::fromEnv();
     EXPECT_EQ(o.cores, 3u);
     EXPECT_EQ(o.instructions_per_core, 12345u);
     EXPECT_EQ(o.seed, 42u);
-    unsetenv("SILC_CORES");
-    unsetenv("SILC_INSTR");
-    unsetenv("SILC_SEED");
 }
 
 TEST(Experiment, NmFmEnvInMiB)
 {
-    setenv("SILC_NM_MIB", "2", 1);
-    setenv("SILC_FM_MIB", "8", 1);
+    ScopedEnv nm("SILC_NM_MIB", "2");
+    ScopedEnv fm("SILC_FM_MIB", "8");
     ExperimentOptions o = ExperimentOptions::fromEnv();
     EXPECT_EQ(o.nm_bytes, 2_MiB);
     EXPECT_EQ(o.fm_bytes, 8_MiB);
-    unsetenv("SILC_NM_MIB");
-    unsetenv("SILC_FM_MIB");
 }
