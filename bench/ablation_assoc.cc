@@ -20,9 +20,10 @@ using namespace silc::sim;
 int
 main(int argc, char **argv)
 {
+    const BenchArgs args(argc, argv);
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    runner.setJsonPath(args.json());
 
     const std::vector<uint32_t> ways = {1, 2, 4, 8};
     const std::vector<std::string> workloads = {
@@ -33,35 +34,14 @@ main(int argc, char **argv)
     std::vector<std::string> columns;
     for (uint32_t w : ways)
         columns.push_back(std::to_string(w) + "-way");
-    printTableHeader("bench", columns);
 
-    std::vector<std::vector<ParallelRunner::Job>> jobs(workloads.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        runner.baseline(workloads[w]);
-        for (uint32_t ways_i : ways) {
-            SystemConfig cfg =
-                makeConfig(workloads[w], "silcfm", opts);
-            cfg.silc.associativity = ways_i;
-            jobs[w].push_back(runner.submitConfig(cfg));
-        }
-    }
-
-    std::vector<std::vector<double>> per_way(ways.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        std::vector<double> row;
-        for (size_t i = 0; i < ways.size(); ++i) {
-            const double s = runner.speedup(jobs[w][i].get());
-            per_way[i].push_back(s);
-            row.push_back(s);
-        }
-        printTableRow(workloads[w], row);
-        std::fflush(stdout);
-    }
-    printTableRule(columns.size());
-    std::vector<double> means;
-    for (const auto &col : per_way)
-        means.push_back(geomean(col));
-    printTableRow("geomean", means);
+    Grid(runner, workloads, columns,
+         [&](const std::string &workload, size_t col) {
+             SystemConfig cfg = makeConfig(workload, "silcfm", opts);
+             cfg.silc.associativity = ways[col];
+             return cfg;
+         })
+        .print();
     std::printf("\n(paper adopts 4-way: most of the conflict removal "
                 "comes by 4 ways)\n");
     runner.printFooter();

@@ -41,9 +41,10 @@ constexpr Variant kVariants[] = {
 int
 main(int argc, char **argv)
 {
+    const BenchArgs args(argc, argv);
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    runner.setJsonPath(args.json());
 
     const std::vector<std::string> workloads = {
         "xalanc", "gcc", "omnet", "mcf", "lbm",
@@ -53,38 +54,18 @@ main(int argc, char **argv)
     std::vector<std::string> columns;
     for (const Variant &v : kVariants)
         columns.push_back(v.label);
-    printTableHeader("bench", columns);
 
-    std::vector<std::vector<ParallelRunner::Job>> jobs(workloads.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        runner.baseline(workloads[w]);
-        for (const Variant &v : kVariants) {
-            SystemConfig cfg =
-                makeConfig(workloads[w], "silcfm", opts);
-            cfg.silc.dedicated_metadata_channel = v.dedicated_channel;
-            cfg.silc.enable_predictor = v.predictor;
-            cfg.silc.enable_history_fetch = v.history;
-            cfg.silc.model_metadata_traffic = v.model_metadata;
-            jobs[w].push_back(runner.submitConfig(cfg));
-        }
-    }
-
-    std::vector<std::vector<double>> per_variant(columns.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        std::vector<double> row;
-        for (size_t i = 0; i < columns.size(); ++i) {
-            const double s = runner.speedup(jobs[w][i].get());
-            per_variant[i].push_back(s);
-            row.push_back(s);
-        }
-        printTableRow(workloads[w], row);
-        std::fflush(stdout);
-    }
-    printTableRule(columns.size());
-    std::vector<double> means;
-    for (const auto &col : per_variant)
-        means.push_back(geomean(col));
-    printTableRow("geomean", means);
+    Grid(runner, workloads, columns,
+         [&](const std::string &workload, size_t col) {
+             const Variant &v = kVariants[col];
+             SystemConfig cfg = makeConfig(workload, "silcfm", opts);
+             cfg.silc.dedicated_metadata_channel = v.dedicated_channel;
+             cfg.silc.enable_predictor = v.predictor;
+             cfg.silc.enable_history_fetch = v.history;
+             cfg.silc.model_metadata_traffic = v.model_metadata;
+             return cfg;
+         })
+        .print();
 
     std::printf("\n'ideal-md' bounds what perfect (free) metadata could "
                 "buy; 'no-pred' shows the serialization cost the "

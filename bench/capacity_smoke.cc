@@ -11,6 +11,7 @@
  * SILC_TENANTS > 1 it is also the multi-tenant shadow-checked smoke.
  */
 
+#include <cinttypes>
 #include <cstdio>
 #include <string>
 
@@ -24,19 +25,20 @@ using namespace silc::sim;
 int
 main(int argc, char **argv)
 {
+    const BenchArgs args(argc, argv);
     ExperimentOptions opts = ExperimentOptions::fromEnv();
-    ResultWriter writer(jsonOutputPath(argc, argv), opts);
+    ResultWriter writer(args.json(), opts);
 
     const std::string workload = knobs::text("SILC_WORKLOAD", "mcf");
     trace::findProfile(workload); // validate before building the system
 
     SystemConfig cfg = makeConfig(workload, opts.scheme, opts);
-    std::printf("capacity_smoke: %s/%s NM=%s MiB FM=%s MiB cores=%u "
-                "instr/core=%s tenants=%u check=%d\n",
-                workload.c_str(), opts.scheme.c_str(),
-                u64str(opts.nm_bytes >> 20).c_str(),
-                u64str(opts.fm_bytes >> 20).c_str(), opts.cores,
-                u64str(opts.instructions_per_core).c_str(), opts.tenants,
+    std::printf("capacity_smoke: %s/%s NM=%" PRIu64 " MiB FM=%" PRIu64
+                " MiB cores=%u instr/core=%" PRIu64 " tenants=%u "
+                "check=%d\n",
+                workload.c_str(), opts.scheme.c_str(), opts.nm_bytes >> 20,
+                opts.fm_bytes >> 20, opts.cores,
+                opts.instructions_per_core, opts.tenants,
                 opts.check ? 1 : 0);
     std::fflush(stdout);
 
@@ -45,10 +47,9 @@ main(int argc, char **argv)
     writer.add(r);
     const uint64_t checked = system.accessesChecked();
 
-    std::printf("done: ticks=%s ipc=%.3f nm_demand_fraction=%.3f "
-                "accesses_checked=%s\n",
-                u64str(r.ticks).c_str(), r.ipc, r.nmDemandFraction(),
-                u64str(checked).c_str());
+    std::printf("done: ticks=%" PRIu64 " ipc=%.3f nm_demand_fraction=%.3f "
+                "accesses_checked=%" PRIu64 "\n",
+                r.ticks, r.ipc, r.nmDemandFraction(), checked);
     if (r.hit_tick_limit) {
         std::fprintf(stderr, "capacity_smoke: run hit the tick limit\n");
         return 1;

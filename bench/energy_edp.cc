@@ -23,9 +23,10 @@ using namespace silc::sim;
 int
 main(int argc, char **argv)
 {
+    const BenchArgs args(argc, argv);
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    runner.setJsonPath(args.json());
 
     std::printf("=== Energy / EDP: SILC-FM vs CAMEO ===\n\n");
     std::printf("%-10s | %10s %12s | %10s %12s | %8s\n", "bench",

@@ -43,48 +43,31 @@ constexpr Variant kVariants[] = {
 int
 main(int argc, char **argv)
 {
+    const BenchArgs args(argc, argv);
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    runner.setJsonPath(args.json());
 
     std::printf("=== Figure 6: SILC-FM breakdown "
                 "(speedup over no-NM baseline) ===\n\n");
     std::vector<std::string> columns = {"rand"};
     for (const Variant &v : kVariants)
         columns.push_back(v.label);
-    printTableHeader("bench", columns);
 
-    const std::vector<std::string> workloads = trace::profileNames();
-    std::vector<std::vector<ParallelRunner::Job>> jobs(workloads.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        runner.baseline(workloads[w]);
-        jobs[w].push_back(runner.submit(workloads[w], "rand"));
-        for (const Variant &v : kVariants) {
-            SystemConfig cfg =
-                makeConfig(workloads[w], "silcfm", opts);
-            cfg.silc.associativity = v.assoc;
-            cfg.silc.enable_locking = v.locking;
-            cfg.silc.enable_bypass = v.bypass;
-            jobs[w].push_back(runner.submitConfig(cfg));
-        }
-    }
-
-    std::vector<std::vector<double>> per_col(columns.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        std::vector<double> row;
-        for (const auto &job : jobs[w])
-            row.push_back(runner.speedup(job.get()));
-        for (size_t i = 0; i < row.size(); ++i)
-            per_col[i].push_back(row[i]);
-        printTableRow(workloads[w], row);
-        std::fflush(stdout);
-    }
-
-    printTableRule(columns.size());
-    std::vector<double> means;
-    for (const auto &col : per_col)
-        means.push_back(geomean(col));
-    printTableRow("geomean", means);
+    // Column 0 is Random static placement, then the SILC-FM ladder.
+    const std::vector<double> means =
+        Grid(runner, trace::profileNames(), columns,
+             [&](const std::string &workload, size_t col) {
+                 if (col == 0)
+                     return makeConfig(workload, "rand", opts);
+                 const Variant &v = kVariants[col - 1];
+                 SystemConfig cfg = makeConfig(workload, "silcfm", opts);
+                 cfg.silc.associativity = v.assoc;
+                 cfg.silc.enable_locking = v.locking;
+                 cfg.silc.enable_bypass = v.bypass;
+                 return cfg;
+             })
+            .print();
 
     std::printf("\nfeature deltas (geomean): swap %+.1f%% over rand, "
                 "lock %+.1f%%, assoc %+.1f%%, bypass %+.1f%%\n",

@@ -15,16 +15,19 @@
  * behind BENCH_fig8.json and the perf-smoke-fig8 CI gate: it times the
  * sequential run loop on one long simulation, which the grid benches —
  * dominated by run-level parallelism — cannot isolate.
+ *
+ * --sample: the same table via the statistical sampler (src/sample/);
+ * the NM share comes from the extrapolated window demand bytes.  HMA
+ * falls back to a full run.
  */
 
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "policy/registry.hh"
-#include "sample/sampling.hh"
 #include "sim/parallel.hh"
 #include "sim/result_writer.hh"
 #include "trace/profiles.hh"
@@ -33,48 +36,6 @@ using namespace silc;
 using namespace silc::sim;
 
 namespace {
-
-/**
- * --sample mode: the same NM-share table via the statistical sampler
- * (src/sample/), sequentially; nmDemandFraction comes from the
- * extrapolated window demand bytes.  HMA falls back to a full run.
- */
-int
-runSampledMode(int argc, char **argv, const ExperimentOptions &opts,
-               const std::vector<std::string> &schemes)
-{
-    const sample::SamplingConfig scfg = sample::SamplingConfig::fromEnv();
-    printTableHeader("bench", schemes);
-
-    ResultWriter writer(jsonOutputPath(argc, argv), opts);
-    const std::vector<std::string> workloads = trace::profileNames();
-    std::vector<std::vector<double>> per_scheme(schemes.size());
-    for (const auto &w : workloads) {
-        std::vector<double> row;
-        for (size_t i = 0; i < schemes.size(); ++i) {
-            const SimResult r = sample::runMaybeSampled(
-                makeConfig(w, schemes[i], opts), scfg);
-            writer.add(r);
-            const double f = r.nmDemandFraction();
-            per_scheme[i].push_back(f);
-            row.push_back(f);
-        }
-        printTableRow(w, row);
-        std::fflush(stdout);
-    }
-    printTableRule(schemes.size());
-    std::vector<double> means;
-    for (const auto &col : per_scheme) {
-        double sum = 0.0;
-        for (double v : col)
-            sum += v;
-        means.push_back(sum / static_cast<double>(col.size()));
-    }
-    printTableRow("average", means);
-    if (!writer.path().empty())
-        writer.write();
-    return 0;
-}
 
 /** The fig8-class perf fixture: paper bandwidth shape, one run. */
 int
@@ -98,16 +59,14 @@ runPerfMode()
         ? static_cast<double>(r.ticks) / 1e6 / secs
         : 0.0;
 
-    std::printf("fig8-perf %s/%s cores=%s instr=%s ticks=%s ipc=%.3f\n",
-                r.workload.c_str(), r.scheme.c_str(),
-                u64str(r.cores).c_str(),
-                u64str(opts.instructions_per_core).c_str(),
-                u64str(r.ticks).c_str(), r.ipc);
-    // Locale-stable footer; CI parses it with a fixed regex.
-    std::fprintf(stderr, "[simpar] %s ticks in %ss (%s mticks/sec)\n",
-                 u64str(r.ticks).c_str(),
-                 fixedDecimal(secs, 2).c_str(),
-                 fixedDecimal(mticks, 2).c_str());
+    std::printf("fig8-perf %s/%s cores=%u instr=%" PRIu64
+                " ticks=%" PRIu64 " ipc=%.3f\n",
+                r.workload.c_str(), r.scheme.c_str(), r.cores,
+                opts.instructions_per_core, r.ticks, r.ipc);
+    // CI parses this footer with a fixed regex.
+    std::fprintf(stderr,
+                 "[simpar] %" PRIu64 " ticks in %.2fs (%.2f mticks/sec)\n",
+                 r.ticks, secs, mticks);
     return 0;
 }
 
@@ -116,13 +75,9 @@ runPerfMode()
 int
 main(int argc, char **argv)
 {
-    bool sampled = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--perf") == 0)
-            return runPerfMode();
-        if (std::strcmp(argv[i], "--sample") == 0)
-            sampled = true;
-    }
+    const BenchArgs args(argc, argv, {"--perf", "--sample"});
+    if (args.has("--perf"))
+        return runPerfMode();
 
     ExperimentOptions opts = ExperimentOptions::fromEnv();
 
@@ -132,41 +87,19 @@ main(int argc, char **argv)
 
     std::printf("=== Figure 8: NM share of demand bandwidth "
                 "(ideal = 0.80) ===\n\n");
-    if (sampled)
-        return runSampledMode(argc, argv, opts, schemes);
 
     ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    runner.setJsonPath(args.json());
+    if (args.has("--sample"))
+        runner.setSampling(sample::SamplingConfig::fromEnv());
 
-    printTableHeader("bench", schemes);
-
-    const std::vector<std::string> workloads = trace::profileNames();
-    std::vector<std::vector<ParallelRunner::Job>> jobs(workloads.size());
-    for (size_t w = 0; w < workloads.size(); ++w)
-        for (const std::string &scheme : schemes)
-            jobs[w].push_back(runner.submit(workloads[w], scheme));
-
-    std::vector<std::vector<double>> per_scheme(schemes.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        std::vector<double> row;
-        for (size_t i = 0; i < schemes.size(); ++i) {
-            const double f = jobs[w][i].get().nmDemandFraction();
-            per_scheme[i].push_back(f);
-            row.push_back(f);
-        }
-        printTableRow(workloads[w], row);
-        std::fflush(stdout);
-    }
-
-    printTableRule(schemes.size());
-    std::vector<double> means;
-    for (const auto &col : per_scheme) {
-        double sum = 0.0;
-        for (double v : col)
-            sum += v;
-        means.push_back(sum / static_cast<double>(col.size()));
-    }
-    printTableRow("average", means);
+    const std::vector<double> means =
+        Grid(runner, trace::profileNames(), schemes,
+             [&](const std::string &workload, size_t col) {
+                 return makeConfig(workload, schemes[col], opts);
+             },
+             Grid::Metric::NmShare)
+            .print();
     std::printf("\nSILC-FM average NM share: %.2f (paper: 0.76, "
                 "4%% below the 0.80 ideal)\n", means.back());
     runner.printFooter();

@@ -11,6 +11,7 @@
  * PoM are comparatively flat.
  */
 
+#include <cinttypes>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -26,9 +27,10 @@ using namespace silc::sim;
 int
 main(int argc, char **argv)
 {
+    const BenchArgs args(argc, argv);
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    runner.setJsonPath(args.json());
 
     // Every matrix scheme sweeps the ratio: the registry decides the
     // roster, this bench only owns the NM dividers.
@@ -37,52 +39,33 @@ main(int argc, char **argv)
     const std::vector<uint64_t> dividers = {16, 8, 4};
 
     std::printf("=== Figure 9: speedup vs NM:FM capacity ratio "
-                "(FM fixed at %s MiB) ===\n\n",
-                u64str(opts.fm_bytes >> 20).c_str());
+                "(FM fixed at %" PRIu64 " MiB) ===\n\n",
+                opts.fm_bytes >> 20);
 
     // The whole (scheme, workload, ratio) grid shares one pool; the
-    // baselines are per-workload, independent of scheme and NM size.
+    // baselines are per-workload, independent of scheme and NM size,
+    // so they are submitted once, ahead of every scheme's grid.
     const std::vector<std::string> workloads =
         trace::representativeNames();
     for (const auto &workload : workloads)
         runner.baseline(workload);
-    std::vector<std::vector<std::vector<ParallelRunner::Job>>> jobs(
-        schemes.size());
-    for (size_t k = 0; k < schemes.size(); ++k) {
-        jobs[k].resize(workloads.size());
-        for (size_t w = 0; w < workloads.size(); ++w) {
-            for (uint64_t d : dividers) {
-                SystemConfig cfg = makeConfig(workloads[w], schemes[k],
-                                              opts);
-                cfg.nm_bytes = opts.fm_bytes / d;
-                jobs[k][w].push_back(runner.submitConfig(cfg));
-            }
-        }
+    std::vector<std::string> columns;
+    for (uint64_t d : dividers)
+        columns.push_back("1/" + std::to_string(d));
+    std::vector<Grid> grids;
+    for (const std::string &scheme : schemes) {
+        grids.emplace_back(
+            runner, workloads, columns,
+            [&](const std::string &workload, size_t col) {
+                SystemConfig cfg = makeConfig(workload, scheme, opts);
+                cfg.nm_bytes = opts.fm_bytes / dividers[col];
+                return cfg;
+            });
     }
 
     for (size_t k = 0; k < schemes.size(); ++k) {
         std::printf("--- %s ---\n", schemes[k].c_str());
-        std::vector<std::string> columns;
-        for (uint64_t d : dividers)
-            columns.push_back("1/" + std::to_string(d));
-        printTableHeader("bench", columns);
-
-        std::vector<std::vector<double>> per_ratio(dividers.size());
-        for (size_t w = 0; w < workloads.size(); ++w) {
-            std::vector<double> row;
-            for (size_t i = 0; i < dividers.size(); ++i) {
-                const double s = runner.speedup(jobs[k][w][i].get());
-                per_ratio[i].push_back(s);
-                row.push_back(s);
-            }
-            printTableRow(workloads[w], row);
-            std::fflush(stdout);
-        }
-        printTableRule(columns.size());
-        std::vector<double> means;
-        for (const auto &col : per_ratio)
-            means.push_back(geomean(col));
-        printTableRow("geomean", means);
+        grids[k].print();
         std::printf("\n");
     }
 

@@ -25,14 +25,13 @@
  */
 
 #include <chrono>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "dram/timing.hh"
 #include "sample/sampling.hh"
-#include "sim/parallel.hh"
 #include "sim/result_writer.hh"
 
 using namespace silc;
@@ -48,40 +47,28 @@ seconds_since(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-std::string
-argValue(int argc, char **argv, const char *flag, const char *fallback)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
-    }
-    return fallback;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    const BenchArgs args(argc, argv, {"--paper-channels"}, {"--workload"});
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     sample::SamplingConfig scfg = sample::SamplingConfig::fromEnv();
-    const std::string workload = argValue(argc, argv, "--workload", "mcf");
+    const std::string workload = args.value("--workload", "mcf");
     SystemConfig cfg = makeConfig(workload, "silcfm", opts);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--paper-channels") == 0) {
-            cfg.nm_timing = dram::hbm2Params();
-            cfg.fm_timing = dram::ddr3Params();
-            cfg.fm_timing.channels = 4;
-        }
+    if (args.has("--paper-channels")) {
+        cfg.nm_timing = dram::hbm2Params();
+        cfg.fm_timing = dram::ddr3Params();
+        cfg.fm_timing.channels = 4;
     }
 
     std::printf("=== Sampling validation: %s, silcfm ===\n",
                 workload.c_str());
-    std::printf("(cores=%u, instr/core=%s, period=%s, window=%s, "
-                "warmup=%s)\n\n",
-                opts.cores, u64str(opts.instructions_per_core).c_str(),
-                u64str(scfg.period).c_str(), u64str(scfg.window).c_str(),
-                u64str(scfg.warmup).c_str());
+    std::printf("(cores=%u, instr/core=%" PRIu64 ", period=%" PRIu64
+                ", window=%" PRIu64 ", warmup=%" PRIu64 ")\n\n",
+                opts.cores, opts.instructions_per_core, scfg.period,
+                scfg.window, scfg.warmup);
 
     const auto t_full = std::chrono::steady_clock::now();
     SimResult full;
@@ -142,7 +129,7 @@ main(int argc, char **argv)
     std::printf("full %.2fs, sampled %.2fs, metrics outside CI: %d\n",
                 full_s, samp_s, outside);
 
-    const std::string json = jsonOutputPath(argc, argv);
+    const std::string json = args.json();
     if (!json.empty()) {
         ResultWriter writer(json, opts);
         writer.add(full);
@@ -153,11 +140,10 @@ main(int argc, char **argv)
 
     const double speedup = samp_s > 0.0 ? full_s / samp_s : 0.0;
     std::fprintf(stderr,
-                 "[sampling] %u windows in %ss (%sx speedup, %u "
+                 "[sampling] %u windows in %.2fs (%.2fx speedup, %u "
                  "checkpoints)\n",
-                 sampled.sampling ? sampled.sampling->windows : 0,
-                 fixedDecimal(samp_s, 2).c_str(),
-                 fixedDecimal(speedup, 2).c_str(),
+                 sampled.sampling ? sampled.sampling->windows : 0, samp_s,
+                 speedup,
                  sampled.sampling ? sampled.sampling->checkpoints : 0);
     return 0;
 }

@@ -24,9 +24,10 @@ using namespace silc::sim;
 int
 main(int argc, char **argv)
 {
+    const BenchArgs args(argc, argv);
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    runner.setJsonPath(args.json());
 
     std::printf("=== Table III: measured workload characteristics ===\n");
     std::printf("(per-core MPKI from the no-NM baseline; footprint = "

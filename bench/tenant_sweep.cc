@@ -13,6 +13,7 @@
  * instructions, arrivals/departures, final active population).
  */
 
+#include <cinttypes>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -64,8 +65,9 @@ digestTenants(const System &system, const SystemConfig &cfg)
 int
 main(int argc, char **argv)
 {
+    const BenchArgs args(argc, argv);
     ExperimentOptions opts = ExperimentOptions::fromEnv();
-    const std::string json_path = jsonOutputPath(argc, argv);
+    const std::string json_path = args.json();
     ResultWriter writer(json_path, opts);
 
     const std::vector<std::string> schemes =
@@ -82,9 +84,9 @@ main(int argc, char **argv)
         ? opts.tenant_churn
         : opts.instructions_per_core / 8;
 
-    std::printf("=== Tenant sweep: %s, %u cores, churn every %s mem "
-                "ops ===\n\n",
-                workload.c_str(), opts.cores, u64str(churn).c_str());
+    std::printf("=== Tenant sweep: %s, %u cores, churn every %" PRIu64
+                " mem ops ===\n\n",
+                workload.c_str(), opts.cores, churn);
 
     // One no-NM baseline per tenant count: consolidation changes the
     // reference stream, so each point needs its own denominator.
@@ -131,17 +133,16 @@ main(int argc, char **argv)
         uint64_t total = 0;
         for (uint64_t v : d.instrs)
             total += v;
-        std::printf("tenants=%u  arrivals=%s departures=%s "
-                    "active(sum over cores)=%u\n",
-                    tenant_counts[i], u64str(d.arrivals).c_str(),
-                    u64str(d.departures).c_str(), d.active);
+        std::printf("tenants=%u  arrivals=%" PRIu64 " departures=%" PRIu64
+                    " active(sum over cores)=%u\n",
+                    tenant_counts[i], d.arrivals, d.departures, d.active);
         for (size_t t = 0; t < d.instrs.size(); ++t) {
             const double share = total == 0
                 ? 0.0
                 : 100.0 * static_cast<double>(d.instrs[t]) /
                       static_cast<double>(total);
-            std::printf("  tenant %2zu: %5.1f%% instr  mem_ops=%s\n", t,
-                        share, u64str(d.mem_ops[t]).c_str());
+            std::printf("  tenant %2zu: %5.1f%% instr  mem_ops=%" PRIu64
+                        "\n", t, share, d.mem_ops[t]);
         }
     }
 

@@ -17,7 +17,7 @@
 #include "common/knobs.hh"
 #include "common/logging.hh"
 #include "policy/policy.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel.hh"
 #include "sim/system.hh"
 #include "trace/profiles.hh"
 
@@ -130,7 +130,7 @@ main(int argc, char **argv)
         fatal("unexpected argument '%s': set SILC_* knobs instead", argv[1]);
     const sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
     const std::string workload = knobs::text("SILC_WORKLOAD", "omnet");
-    sim::ExperimentRunner runner(opts);
+    sim::ParallelRunner runner(opts);
 
     std::printf("== custom policy vs built-ins on %s ==\n\n",
                 workload.c_str());
@@ -138,7 +138,7 @@ main(int argc, char **argv)
     // Built-ins through the standard runner.
     const Tick base = runner.baselineTicks(workload);
     for (const char *kind : {"rand", "cam", "silcfm"}) {
-        sim::SimResult r = runner.run(workload, kind);
+        const sim::SimResult r = runner.submit(workload, kind).get();
         std::printf("%-11s speedup=%.3f access_rate=%.3f\n",
                     r.scheme.c_str(), runner.speedup(r), r.access_rate);
     }

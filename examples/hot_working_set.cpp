@@ -17,7 +17,7 @@
 #include "common/knobs.hh"
 #include "common/logging.hh"
 #include "core/silc_fm.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel.hh"
 #include "sim/system.hh"
 
 using namespace silc;
@@ -41,7 +41,7 @@ main(int argc, char **argv)
         fatal("unexpected argument '%s': set SILC_* knobs instead", argv[1]);
     const sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
     const std::string workload = knobs::text("SILC_WORKLOAD", "xalanc");
-    sim::ExperimentRunner runner(opts);
+    sim::ParallelRunner runner(opts);
 
     std::printf("== hot working set on %s: SILC-FM feature ladder ==\n\n",
                 workload.c_str());

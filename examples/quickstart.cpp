@@ -41,8 +41,13 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(opts.nm_bytes >> 20),
                 static_cast<unsigned long long>(opts.fm_bytes >> 20));
 
-    sim::ExperimentRunner runner(opts);
-    const Tick baseline = runner.baselineTicks(workload);
+    const Tick baseline =
+        sim::System(sim::makeConfig(
+                        workload,
+                        policy::SchemeRegistry::instance().baselineName(),
+                        opts))
+            .run()
+            .ticks;
     sim::System system(sim::makeConfig(workload, scheme, opts));
     const sim::SimResult r = system.run();
     const double speedup =

@@ -1,6 +1,7 @@
 #include "sample/sampling.hh"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
 #include <future>
 #include <memory>
@@ -89,10 +90,10 @@ SamplingConfig::validate() const
     if (period == 0 || window == 0 || warmup == 0)
         fatal("sampling: period, window and warmup must be positive");
     if (warmup + window > period) {
-        fatal("sampling: warmup (%s) + window (%s) must fit within the "
-              "period (%s) so measurement windows cannot overlap",
-              sim::u64str(warmup).c_str(), sim::u64str(window).c_str(),
-              sim::u64str(period).c_str());
+        fatal("sampling: warmup (%" PRIu64 ") + window (%" PRIu64 ") "
+              "must fit within the period (%" PRIu64 ") so measurement "
+              "windows cannot overlap",
+              warmup, window, period);
     }
     if (min_windows == 0)
         fatal("sampling: min_windows must be positive");

@@ -77,51 +77,6 @@ makeConfig(const std::string &workload, const std::string &scheme,
     return cfg;
 }
 
-ExperimentRunner::ExperimentRunner(ExperimentOptions opts)
-    : opts_(opts)
-{
-}
-
-SimResult
-ExperimentRunner::run(const std::string &workload,
-                      const std::string &scheme)
-{
-    System system(makeConfig(workload, scheme, opts_));
-    return system.run();
-}
-
-SimResult
-ExperimentRunner::runConfig(const SystemConfig &cfg)
-{
-    System system(cfg);
-    return system.run();
-}
-
-Tick
-ExperimentRunner::baselineTicks(const std::string &workload)
-{
-    auto it = baseline_cache_.find(workload);
-    if (it != baseline_cache_.end())
-        return it->second;
-    SimResult base =
-        run(workload, policy::SchemeRegistry::instance().baselineName());
-    baseline_cache_.emplace(workload, base.ticks);
-    return base.ticks;
-}
-
-double
-ExperimentRunner::speedup(const SimResult &result)
-{
-    const Tick base = baselineTicks(result.workload);
-    return static_cast<double>(base) / static_cast<double>(result.ticks);
-}
-
-std::string
-u64str(uint64_t v)
-{
-    return std::to_string(v);
-}
-
 void
 printTableHeader(const std::string &label,
                  const std::vector<std::string> &columns)

@@ -1,15 +1,14 @@
 /**
  * @file
- * The experiment runner used by the bench binaries: builds configs for
- * (workload, scheme) pairs, caches no-NM baseline runs so speedups share
- * a denominator, applies the SILC_* scale knobs (common/knobs.hh lists
- * them all), and provides table formatting helpers.
+ * Experiment set-up shared by the bench binaries: the SILC_* scale
+ * knobs (common/knobs.hh lists them all), config construction for
+ * (workload, scheme) pairs, and table formatting helpers.  Runs fan out
+ * through sim/parallel.hh.
  */
 
 #ifndef SILC_SIM_EXPERIMENT_HH
 #define SILC_SIM_EXPERIMENT_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -54,44 +53,7 @@ SystemConfig makeConfig(const std::string &workload,
                         const std::string &scheme,
                         const ExperimentOptions &opts);
 
-/**
- * Runs simulations and caches the per-workload no-NM baseline so every
- * speedup in a bench shares the same denominator (the paper's figure of
- * merit: baseline time / scheme time).
- */
-class ExperimentRunner
-{
-  public:
-    explicit ExperimentRunner(ExperimentOptions opts);
-
-    const ExperimentOptions &options() const { return opts_; }
-
-    /** Run one (workload, scheme) pair. */
-    SimResult run(const std::string &workload, const std::string &scheme);
-
-    /** Run with a caller-tweaked config (capacity sweeps, ablations). */
-    SimResult runConfig(const SystemConfig &cfg);
-
-    /** Execution ticks of the cached no-NM baseline for @p workload. */
-    Tick baselineTicks(const std::string &workload);
-
-    /** Speedup of @p result against the no-NM baseline. */
-    double speedup(const SimResult &result);
-
-  private:
-    ExperimentOptions opts_;
-    std::map<std::string, Tick> baseline_cache_;
-};
-
 // ---- Small table-printing helpers shared by the benches. ----
-
-/**
- * Decimal rendering of a 64-bit counter for printf("%s") use.  Replaces
- * the non-portable "%llu" + static_cast<unsigned long long> pattern the
- * benches used to repeat (uint64_t is not unsigned long long on every
- * LP64 platform).
- */
-std::string u64str(uint64_t v);
 
 /** Print a header row: left label column plus one column per entry. */
 void printTableHeader(const std::string &label,

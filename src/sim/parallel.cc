@@ -22,21 +22,18 @@ parallelThreadsFromEnv()
 ThreadPool::ThreadPool(unsigned threads)
 {
     const unsigned n = threads == 0 ? parallelThreadsFromEnv() : threads;
-    queues_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
     workers_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lock(wake_mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
     }
-    wake_cv_.notify_all();
+    wake_.notify_all();
     for (auto &worker : workers_)
         worker.join();
 }
@@ -44,67 +41,27 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> task)
 {
-    const size_t idx =
-        next_queue_.fetch_add(1, std::memory_order_relaxed) %
-        queues_.size();
     {
-        std::lock_guard<std::mutex> lock(queues_[idx]->mutex);
-        queues_[idx]->tasks.push_back(std::move(task));
+        std::lock_guard<std::mutex> lock(mutex_);
+        tasks_.push_back(std::move(task));
     }
-    {
-        // Bump pending_ under the wake mutex: otherwise the increment
-        // could slip between a worker's predicate check and its sleep,
-        // losing the wakeup for good.
-        std::lock_guard<std::mutex> lock(wake_mutex_);
-        pending_.fetch_add(1, std::memory_order_release);
-    }
-    wake_cv_.notify_one();
-}
-
-bool
-ThreadPool::tryPop(size_t self, std::function<void()> &out)
-{
-    // Own queue first (front: FIFO for the local stream of work) ...
-    {
-        std::lock_guard<std::mutex> lock(queues_[self]->mutex);
-        if (!queues_[self]->tasks.empty()) {
-            out = std::move(queues_[self]->tasks.front());
-            queues_[self]->tasks.pop_front();
-            return true;
-        }
-    }
-    // ... then steal from siblings (back: avoids contending with the
-    // owner's front end).
-    for (size_t k = 1; k < queues_.size(); ++k) {
-        WorkerQueue &victim = *queues_[(self + k) % queues_.size()];
-        std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.tasks.empty()) {
-            out = std::move(victim.tasks.back());
-            victim.tasks.pop_back();
-            return true;
-        }
-    }
-    return false;
+    wake_.notify_one();
 }
 
 void
-ThreadPool::workerLoop(size_t self)
+ThreadPool::workerLoop()
 {
     while (true) {
         std::function<void()> task;
-        if (tryPop(self, task)) {
-            pending_.fetch_sub(1, std::memory_order_acq_rel);
-            task();
-            continue;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            wake_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+            if (tasks_.empty())
+                return; // stopping, and the queue is drained
+            task = std::move(tasks_.front());
+            tasks_.pop_front();
         }
-        std::unique_lock<std::mutex> lock(wake_mutex_);
-        if (stop_ && pending_.load(std::memory_order_acquire) == 0)
-            return;
-        wake_cv_.wait(lock, [this] {
-            return stop_ || pending_.load(std::memory_order_acquire) > 0;
-        });
-        if (stop_ && pending_.load(std::memory_order_acquire) == 0)
-            return;
+        task();
     }
 }
 
@@ -131,6 +88,13 @@ ParallelRunner::setJsonPath(std::string path)
 }
 
 void
+ParallelRunner::setSampling(sample::SamplingConfig scfg)
+{
+    scfg.threads = 1;
+    sampling_ = scfg;
+}
+
+void
 ParallelRunner::writeJson()
 {
     if (json_path_.empty() || json_written_)
@@ -147,16 +111,17 @@ ParallelRunner::writeJson()
 ParallelRunner::Job
 ParallelRunner::submitJob(SystemConfig cfg, bool is_baseline)
 {
-    if (!json_path_.empty() && !cfg.telemetry.enabled) {
-        // Every recorded run embeds its epoch time series.
+    if (!json_path_.empty() && !sampling_ && !cfg.telemetry.enabled) {
+        // Every recorded full run embeds its epoch time series.
         cfg.telemetry.enabled = true;
         cfg.telemetry.epoch_ticks = opts_.epoch_ticks;
     }
     auto task = std::make_shared<std::packaged_task<SimResult()>>(
         [this, cfg = std::move(cfg), is_baseline] {
             logSetThreadTag(cfg.workload + "/" + cfg.scheme);
-            System system(cfg);
-            SimResult result = system.run();
+            SimResult result = sampling_
+                ? sample::runMaybeSampled(cfg, *sampling_)
+                : System(cfg).run();
             logSetThreadTag("");
             if (is_baseline)
                 baseline_runs_.fetch_add(1, std::memory_order_relaxed);
@@ -222,33 +187,6 @@ ParallelRunner::elapsedSeconds() const
     return std::chrono::duration<double>(now - start_).count();
 }
 
-std::string
-fixedDecimal(double v, int places)
-{
-    // CI perf gates parse this output with a fixed regex, so the
-    // rendering must not follow the process locale the way printf("%f")
-    // does (a decimal comma would break the parser).  Integer
-    // formatting via to_string is locale-independent.
-    if (!(v >= 0.0))
-        v = 0.0;
-    uint64_t scale = 1;
-    for (int i = 0; i < places; ++i)
-        scale *= 10;
-    const double scaled = v * static_cast<double>(scale) + 0.5;
-    const double limit = 9.0e18;
-    const uint64_t n = scaled >= limit
-        ? static_cast<uint64_t>(limit)
-        : static_cast<uint64_t>(scaled);
-    std::string s = std::to_string(n / scale);
-    if (places > 0) {
-        std::string frac = std::to_string(n % scale);
-        s += '.';
-        s.append(static_cast<size_t>(places) - frac.size(), '0');
-        s += frac;
-    }
-    return s;
-}
-
 void
 ParallelRunner::printFooter(std::FILE *out) const
 {
@@ -260,10 +198,56 @@ ParallelRunner::printFooter(std::FILE *out) const
     const double rate =
         secs > 0.0 ? static_cast<double>(jobs) / secs : 0.0;
     std::fprintf(out,
-                 "[parallel] %" PRIu64 " jobs in %ss (%s jobs/sec, "
+                 "[parallel] %" PRIu64 " jobs in %.2fs (%.1f jobs/sec, "
                  "%u threads)\n",
-                 jobs, fixedDecimal(secs, 2).c_str(),
-                 fixedDecimal(rate, 1).c_str(), threads());
+                 jobs, secs, rate, threads());
+}
+
+Grid::Grid(ParallelRunner &runner, std::vector<std::string> workloads,
+           std::vector<std::string> columns, const ConfigFn &config,
+           Metric metric)
+    : runner_(runner), workloads_(std::move(workloads)),
+      columns_(std::move(columns)), metric_(metric),
+      jobs_(workloads_.size())
+{
+    for (size_t w = 0; w < workloads_.size(); ++w) {
+        if (metric_ == Metric::Speedup)
+            runner_.baseline(workloads_[w]);
+        for (size_t c = 0; c < columns_.size(); ++c)
+            jobs_[w].push_back(
+                runner_.submitConfig(config(workloads_[w], c)));
+    }
+}
+
+std::vector<double>
+Grid::print()
+{
+    const bool speedup = metric_ == Metric::Speedup;
+    printTableHeader("bench", columns_);
+    std::vector<std::vector<double>> per_column(columns_.size());
+    for (size_t w = 0; w < workloads_.size(); ++w) {
+        std::vector<double> row;
+        for (size_t c = 0; c < columns_.size(); ++c) {
+            const SimResult &r = jobs_[w][c].get();
+            row.push_back(speedup ? runner_.speedup(r)
+                                  : r.nmDemandFraction());
+            per_column[c].push_back(row.back());
+        }
+        printTableRow(workloads_[w], row);
+        std::fflush(stdout);
+    }
+    printTableRule(columns_.size());
+    std::vector<double> aggregate;
+    for (const auto &col : per_column) {
+        double sum = 0.0;
+        for (double v : col)
+            sum += v;
+        aggregate.push_back(speedup
+            ? geomean(col)
+            : sum / static_cast<double>(col.size()));
+    }
+    printTableRow(speedup ? "geomean" : "average", aggregate);
+    return aggregate;
 }
 
 } // namespace sim

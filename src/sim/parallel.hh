@@ -1,9 +1,10 @@
 /**
  * @file
- * Parallel experiment execution: a work-stealing thread pool plus a
- * ParallelRunner façade over the ExperimentRunner workflow.
+ * Parallel experiment execution: a FIFO thread pool, the ParallelRunner
+ * that fans simulations out over it, and the Grid every figure bench
+ * prints its table through.
  *
- * Every paper figure is a grid of independent (workload, scheme)
+ * Every paper figure is a grid of independent (workload, variant)
  * simulations; each sim::System is self-contained, so the grid is
  * embarrassingly parallel.  Benches submit all jobs up front and then
  * collect results in submission order, which keeps the printed tables
@@ -24,12 +25,13 @@
 #include <functional>
 #include <future>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "sample/sampling.hh"
 #include "sim/experiment.hh"
 
 namespace silc {
@@ -39,20 +41,10 @@ namespace sim {
 unsigned parallelThreadsFromEnv();
 
 /**
- * Locale-stable fixed-point rendering of @p v with @p places decimals
- * (always a '.' separator).  For the stderr perf footers, which CI
- * parses with a fixed regex regardless of the runner's locale.
- * Negative and NaN inputs render as 0.
- */
-std::string fixedDecimal(double v, int places);
-
-/**
- * A work-stealing thread pool.
- *
- * Each worker owns a deque; submissions are distributed round-robin,
- * workers pop their own queue from the front and steal from the back of
- * their siblings' queues when idle.  Destruction drains every pending
- * task before joining.
+ * A fixed set of workers taking tasks from one FIFO queue.  Tasks are
+ * whole simulations (milliseconds and up), so one mutex and one
+ * condition variable cost nothing measurable.  Destruction drains every
+ * queued task before joining.
  */
 class ThreadPool
 {
@@ -73,28 +65,20 @@ class ThreadPool
     }
 
   private:
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
+    void workerLoop();
 
-    void workerLoop(size_t self);
-    bool tryPop(size_t self, std::function<void()> &out);
-
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> workers_;
-    std::mutex wake_mutex_;
-    std::condition_variable wake_cv_;
-    std::atomic<size_t> pending_{0};
-    std::atomic<size_t> next_queue_{0};
+    std::mutex mutex_;
+    std::condition_variable wake_;
+    std::deque<std::function<void()>> tasks_;
     bool stop_ = false;
+    std::vector<std::thread> workers_;
 };
 
 /**
- * Parallel drop-in for ExperimentRunner: the same config construction
- * and baseline-denominator caching, but jobs run on a ThreadPool and
- * results come back through futures.
+ * Runs simulations on a ThreadPool and hands results back through
+ * futures, caching each workload's no-NM baseline so every speedup in
+ * a bench shares one denominator (the paper's figure of merit:
+ * baseline time / scheme time).
  *
  * The no-NM baseline of each workload is resolved exactly once behind a
  * mutex-guarded future cache: the first requester submits the baseline
@@ -124,14 +108,23 @@ class ParallelRunner
      * Record every subsequently submitted run and write one JSON
      * document (sim/result_writer.hh schema) to @p path when the runner
      * is destroyed or writeJson() is called.  Turns on per-run telemetry
-     * so each run embeds its epoch time series.  Empty path disables
-     * (so benches can pass jsonOutputPath() unconditionally).  Call
-     * before the first submit.
+     * so each full run embeds its epoch time series.  Empty path
+     * disables (so benches can pass BenchArgs::json() unconditionally).
+     * Call before the first submit.
      */
     void setJsonPath(std::string path);
 
     /** The configured JSON output path ("" when disabled). */
     const std::string &jsonPath() const { return json_path_; }
+
+    /**
+     * Run every subsequently submitted job through
+     * sample::runMaybeSampled with @p scfg instead of System::run (the
+     * benches' --sample).  Each sampled job replays its windows on one
+     * thread, since the pool already runs one job per worker, and
+     * records no telemetry.  Call before the first submit.
+     */
+    void setSampling(sample::SamplingConfig scfg);
 
     /**
      * Wait for all recorded jobs and write the JSON document now.
@@ -195,6 +188,8 @@ class ParallelRunner
     std::vector<Job> recorded_;
     bool json_written_ = false;
 
+    std::optional<sample::SamplingConfig> sampling_;
+
     std::mutex baseline_mutex_;
     std::map<std::string, Job> baselines_;
 
@@ -204,6 +199,48 @@ class ParallelRunner
     // Last member: destroyed first, so the pool drains and joins every
     // in-flight job before the counters and cache above go away.
     ThreadPool pool_;
+};
+
+/**
+ * One figure grid: a row per workload, a column per variant, one
+ * simulation per cell, printed as a table closed by an aggregate row.
+ * Every paper figure and ablation bench is one (fig9: one per scheme).
+ *
+ * Construction submits the jobs: each row's no-NM baseline (speedup
+ * grids only), then the row's cells.  print() collects in submission
+ * order, so the table is byte-identical at any thread count.  Keeping
+ * the two apart lets a bench submit several grids before it prints any.
+ */
+class Grid
+{
+  public:
+    /** What each cell shows, and the aggregate row under the cells. */
+    enum class Metric
+    {
+        Speedup, ///< baseline ticks / cell ticks; "geomean" row
+        NmShare, ///< NM share of demand bytes; arithmetic "average" row
+    };
+
+    /** The config of the cell in row @p workload, column @p col. */
+    using ConfigFn =
+        std::function<SystemConfig(const std::string &workload, size_t col)>;
+
+    Grid(ParallelRunner &runner, std::vector<std::string> workloads,
+         std::vector<std::string> columns, const ConfigFn &config,
+         Metric metric = Metric::Speedup);
+
+    /**
+     * Print the header, one row per workload, the rule and the aggregate
+     * row to stdout; returns the aggregate row.  Blocks on the jobs.
+     */
+    std::vector<double> print();
+
+  private:
+    ParallelRunner &runner_;
+    std::vector<std::string> workloads_;
+    std::vector<std::string> columns_;
+    Metric metric_;
+    std::vector<std::vector<ParallelRunner::Job>> jobs_;
 };
 
 } // namespace sim

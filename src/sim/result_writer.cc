@@ -1,6 +1,6 @@
 #include "sim/result_writer.hh"
 
-#include <cstring>
+#include <algorithm>
 #include <fstream>
 #include <utility>
 
@@ -16,20 +16,57 @@ namespace sim {
 using telemetry::jsonDouble;
 using telemetry::jsonString;
 
-std::string
-jsonOutputPath(int argc, char *const argv[])
+BenchArgs::BenchArgs(int argc, char *const argv[],
+                     const std::vector<std::string> &flags,
+                     std::vector<std::string> options)
 {
+    options.push_back("--json");
+    auto listed = [](const std::vector<std::string> &names,
+                     const std::string &name) {
+        return std::find(names.begin(), names.end(), name) != names.end();
+    };
     for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (std::strcmp(a, "--json") == 0) {
-            if (i + 1 >= argc)
-                fatal("--json requires a path argument");
-            return argv[i + 1];
+        const std::string arg = argv[i];
+        const size_t eq = arg.find('=');
+        const std::string name = arg.substr(0, eq);
+        if (listed(options, name)) {
+            if (eq != std::string::npos)
+                given_[name] = arg.substr(eq + 1);
+            else if (i + 1 < argc)
+                given_[name] = argv[++i];
+            else
+                fatal("%s requires a value", name.c_str());
+        } else if (eq == std::string::npos && listed(flags, arg)) {
+            given_[arg] = "";
+        } else {
+            std::string accepted;
+            for (const std::string &f : flags)
+                accepted += ", " + f;
+            for (const std::string &o : options)
+                accepted += ", " + o + " <value>";
+            fatal("unknown argument '%s' (accepted: %s)", arg.c_str(),
+                  accepted.c_str() + 2);
         }
-        if (std::strncmp(a, "--json=", 7) == 0)
-            return a + 7;
     }
-    return knobs::text("SILC_JSON", "");
+}
+
+std::string
+BenchArgs::json() const
+{
+    return value("--json", knobs::text("SILC_JSON", ""));
+}
+
+bool
+BenchArgs::has(const std::string &name) const
+{
+    return given_.count(name) != 0;
+}
+
+std::string
+BenchArgs::value(const std::string &name, const std::string &fallback) const
+{
+    auto it = given_.find(name);
+    return it == given_.end() ? fallback : it->second;
 }
 
 namespace {

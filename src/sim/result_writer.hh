@@ -36,6 +36,7 @@
 #ifndef SILC_SIM_RESULT_WRITER_HH
 #define SILC_SIM_RESULT_WRITER_HH
 
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -50,11 +51,32 @@ namespace sim {
 inline constexpr const char *kResultSchemaVersion = "silc.results.v1";
 
 /**
- * Resolve the shared JSON-output knob of the bench binaries: a
- * "--json <path>" / "--json=<path>" argument wins over the SILC_JSON
- * environment variable; empty means disabled.
+ * The command line the bench binaries share: "--json <path>" or
+ * "--json=<path>" (the SILC_JSON knob when absent), plus the bench's
+ * own bare @p flags ("--sample") and value-taking @p options
+ * ("--workload mcf", or "--workload=mcf").  Any other argument is
+ * fatal, naming it.
  */
-std::string jsonOutputPath(int argc, char *const argv[]);
+class BenchArgs
+{
+  public:
+    BenchArgs(int argc, char *const argv[],
+              const std::vector<std::string> &flags = {},
+              std::vector<std::string> options = {});
+
+    /** Path of the JSON result document; "" when disabled. */
+    std::string json() const;
+
+    /** Whether flag @p name was given. */
+    bool has(const std::string &name) const;
+
+    /** The value given for option @p name, or @p fallback. */
+    std::string value(const std::string &name,
+                      const std::string &fallback) const;
+
+  private:
+    std::map<std::string, std::string> given_;
+};
 
 /** One run as a JSON object (no trailing newline). */
 void writeResultJson(std::ostream &os, const SimResult &r);

@@ -25,7 +25,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/experiment.hh"
-#include "sim/parallel.hh"
 #include "scoped_env.hh"
 
 using namespace silc;
@@ -796,19 +795,6 @@ TEST(SchemeKnob, AliasParses)
     // happens at policy-construction time via the registry.
     ScopedEnv e("SILC_SCHEME", "cameo");
     EXPECT_EQ(sim::ExperimentOptions::fromEnv().scheme, "cameo");
-}
-
-// The locale-stable formatting of the CI-parsed [parallel] footer.
-
-TEST(ParallelFooter, FixedDecimalIsLocaleStable)
-{
-    EXPECT_EQ(sim::fixedDecimal(0.0, 2), "0.00");
-    EXPECT_EQ(sim::fixedDecimal(1.234, 2), "1.23");
-    EXPECT_EQ(sim::fixedDecimal(1.235, 2), "1.24");  // ties round up
-    EXPECT_EQ(sim::fixedDecimal(1234.5, 1), "1234.5");
-    EXPECT_EQ(sim::fixedDecimal(0.05, 1), "0.1");
-    EXPECT_EQ(sim::fixedDecimal(12.0, 0), "12");
-    EXPECT_EQ(sim::fixedDecimal(-1.0, 2), "0.00");  // clamped, never "-"
 }
 
 // ---- distribution percentiles / differencing -----------------------------

@@ -1,16 +1,22 @@
 /**
  * @file
- * The parallel experiment layer: ThreadPool execution and stealing,
- * SILC_THREADS parsing, and — the properties the bench tables depend
- * on — bit-identical results between sequential and parallel runs and
- * a baseline cache that computes each workload's no-NM denominator
- * exactly once no matter how many threads request it.
+ * The parallel experiment layer: ThreadPool execution, SILC_THREADS
+ * parsing, and — the properties the bench tables depend on —
+ * bit-identical results between sequential and parallel runs, a
+ * baseline cache that computes each workload's no-NM denominator
+ * exactly once no matter how many threads request it, and the table
+ * a Grid prints.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,6 +39,21 @@ tinyOptions()
     return opts;
 }
 
+/** One table row as printTableRow renders it. */
+std::string
+tableRow(const std::string &label, const std::vector<double> &values)
+{
+    std::string line;
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%-10s", label.c_str());
+    line += buf;
+    for (double v : values) {
+        std::snprintf(buf, sizeof(buf), " %9.3f", v);
+        line += buf;
+    }
+    return line + "\n";
+}
+
 } // namespace
 
 TEST(ThreadPoolTest, RunsEveryTask)
@@ -53,12 +74,11 @@ TEST(ThreadPoolTest, RunsEveryTask)
     EXPECT_EQ(count.load(), 200);
 }
 
-TEST(ThreadPoolTest, IdleWorkersStealQueuedWork)
+TEST(ThreadPoolTest, IdleWorkerTakesQueuedWorkWhileAnotherBlocks)
 {
-    // One queue receives a long task followed by short ones (round-robin
-    // over a 2-worker pool lands every even submission on worker 0); the
-    // other worker must steal the short tasks for them to finish while
-    // the long task still blocks its home queue.
+    // The first task to run blocks its worker until every other task has
+    // finished, so the short tasks still queued behind it can only
+    // complete if the second worker takes them from the shared queue.
     ThreadPool pool(2);
     std::atomic<bool> release{false};
     std::atomic<int> shorts{0};
@@ -93,8 +113,6 @@ TEST(ParallelRunnerTest, BitIdenticalToSequentialRunner)
     const std::vector<std::string> workloads = {"mcf", "milc", "lbm"};
     const std::vector<std::string> kinds = {"silcfm", "cam"};
 
-    ExperimentRunner seq(opts);
-
     const ScopedEnv threads("SILC_THREADS", "4");
     ParallelRunner par(opts);  // picks up SILC_THREADS
     ASSERT_EQ(par.threads(), 4u);
@@ -106,7 +124,8 @@ TEST(ParallelRunnerTest, BitIdenticalToSequentialRunner)
 
     for (size_t w = 0; w < workloads.size(); ++w) {
         for (size_t k = 0; k < kinds.size(); ++k) {
-            const SimResult s = seq.run(workloads[w], kinds[k]);
+            const SimResult s =
+                System(makeConfig(workloads[w], kinds[k], opts)).run();
             const SimResult p = jobs[w][k].get();
             EXPECT_EQ(s.ticks, p.ticks)
                 << workloads[w] << "/" << kinds[k];
@@ -115,8 +134,13 @@ TEST(ParallelRunnerTest, BitIdenticalToSequentialRunner)
             EXPECT_EQ(s.nm_total_bytes, p.nm_total_bytes);
             EXPECT_EQ(s.fm_total_bytes, p.fm_total_bytes);
             EXPECT_EQ(s.migration_bytes, p.migration_bytes);
-            // The speedups share the same cached denominator.
-            EXPECT_DOUBLE_EQ(seq.speedup(s), par.speedup(p));
+            // The speedup's cached denominator is the sequential
+            // baseline run.
+            const SimResult base =
+                System(makeConfig(workloads[w], "fmonly", opts)).run();
+            EXPECT_DOUBLE_EQ(static_cast<double>(base.ticks) /
+                                 static_cast<double>(s.ticks),
+                             par.speedup(p));
         }
     }
     EXPECT_EQ(par.jobsCompleted(),
@@ -156,4 +180,106 @@ TEST(ParallelRunnerTest, LogThreadTagRoundTrips)
     EXPECT_EQ(logThreadTag(), "unit/test");
     logSetThreadTag("");
     EXPECT_EQ(logThreadTag(), "");
+}
+
+TEST(GridTest, SpeedupGridPrintsHandComputedRowsAndGeomean)
+{
+    const ExperimentOptions opts = tinyOptions();
+    const std::vector<std::string> workloads = {"mcf", "lbm"};
+    const std::vector<std::string> schemes = {"silcfm", "cam"};
+
+    // Reference: direct sequential runs.
+    std::vector<std::vector<double>> speedups(workloads.size());
+    std::vector<double> col0;
+    std::vector<double> col1;
+    for (size_t w = 0; w < workloads.size(); ++w) {
+        const double base = static_cast<double>(
+            System(makeConfig(workloads[w], "fmonly", opts)).run().ticks);
+        for (const std::string &scheme : schemes) {
+            const Tick t =
+                System(makeConfig(workloads[w], scheme, opts)).run().ticks;
+            speedups[w].push_back(base / static_cast<double>(t));
+        }
+        col0.push_back(speedups[w][0]);
+        col1.push_back(speedups[w][1]);
+    }
+    const std::vector<double> means = {
+        std::sqrt(col0[0] * col0[1]), std::sqrt(col1[0] * col1[1])};
+
+    ParallelRunner runner(opts, 2);
+    testing::internal::CaptureStdout();
+    const std::vector<double> printed =
+        Grid(runner, workloads, schemes,
+             [&](const std::string &workload, size_t col) {
+                 return makeConfig(workload, schemes[col], opts);
+             })
+            .print();
+    const std::string out = testing::internal::GetCapturedStdout();
+
+    ASSERT_EQ(printed.size(), 2u);
+    EXPECT_NEAR(printed[0], means[0], 1e-12);
+    EXPECT_NEAR(printed[1], means[1], 1e-12);
+    EXPECT_NE(out.find(tableRow("mcf", speedups[0])), std::string::npos)
+        << out;
+    EXPECT_NE(out.find(tableRow("lbm", speedups[1])), std::string::npos)
+        << out;
+    EXPECT_NE(out.find(tableRow("geomean", printed)), std::string::npos)
+        << out;
+    // Two baselines plus four cells.
+    EXPECT_EQ(runner.baselineRuns(), 2u);
+    EXPECT_EQ(runner.jobsCompleted(), 6u);
+}
+
+TEST(GridTest, NmShareGridAveragesAndSubmitsNoBaseline)
+{
+    const ExperimentOptions opts = tinyOptions();
+    const std::vector<std::string> workloads = {"mcf", "lbm"};
+    const std::vector<std::string> schemes = {"silcfm", "cam"};
+    const std::string json =
+        testing::TempDir() + "grid_nm_share_test.json";
+
+    std::vector<double> means;
+    std::vector<double> printed;
+    {
+        ParallelRunner runner(opts, 2);
+        runner.setJsonPath(json);
+        testing::internal::CaptureStdout();
+        printed = Grid(runner, workloads, schemes,
+                       [&](const std::string &workload, size_t col) {
+                           return makeConfig(workload, schemes[col], opts);
+                       },
+                       Grid::Metric::NmShare)
+                      .print();
+        const std::string out = testing::internal::GetCapturedStdout();
+
+        for (const std::string &scheme : schemes) {
+            double sum = 0.0;
+            for (const std::string &w : workloads) {
+                sum += System(makeConfig(w, scheme, opts))
+                           .run()
+                           .nmDemandFraction();
+            }
+            means.push_back(sum / 2.0);
+        }
+        EXPECT_NE(out.find(tableRow("average", means)), std::string::npos)
+            << out;
+        EXPECT_EQ(out.find("geomean"), std::string::npos) << out;
+        EXPECT_EQ(runner.baselineRuns(), 0u);
+        EXPECT_EQ(runner.jobsCompleted(), 4u);
+    } // the runner writes the JSON document here
+
+    ASSERT_EQ(printed.size(), 2u);
+    EXPECT_DOUBLE_EQ(printed[0], means[0]);
+    EXPECT_DOUBLE_EQ(printed[1], means[1]);
+
+    std::ifstream in(json);
+    std::stringstream doc;
+    doc << in.rdbuf();
+    size_t runs = 0;
+    for (size_t pos = doc.str().find("\"scheme\":");
+         pos != std::string::npos;
+         pos = doc.str().find("\"scheme\":", pos + 1))
+        ++runs;
+    EXPECT_EQ(runs, 4u);
+    std::remove(json.c_str());
 }

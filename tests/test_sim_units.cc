@@ -10,7 +10,7 @@
 #include <cmath>
 #include <set>
 
-#include "sim/experiment.hh"
+#include "sim/parallel.hh"
 #include "sim/metrics.hh"
 #include "sim/system.hh"
 #include "sim/translation.hh"
@@ -205,7 +205,7 @@ TEST(Experiment, RunnerCachesBaselinePerWorkload)
     opts.instructions_per_core = 20'000;
     opts.nm_bytes = 2_MiB;
     opts.fm_bytes = 8_MiB;
-    ExperimentRunner runner(opts);
+    ParallelRunner runner(opts, 2);
     const Tick a = runner.baselineTicks("gcc");
     const Tick b = runner.baselineTicks("gcc");
     EXPECT_EQ(a, b);

@@ -10,7 +10,7 @@
 #include <sstream>
 
 #include "policy/registry.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel.hh"
 #include "sim/system.hh"
 #include "trace/profiles.hh"
 
@@ -145,8 +145,8 @@ TEST(SystemIntegration, SpeedupUsesSharedBaseline)
     opts.instructions_per_core = 30'000;
     opts.nm_bytes = 4 * 1024 * 1024;
     opts.fm_bytes = 16 * 1024 * 1024;
-    ExperimentRunner runner(opts);
-    SimResult r = runner.run("omnet", "silcfm");
+    ParallelRunner runner(opts, 2);
+    SimResult r = runner.submit("omnet", "silcfm").get();
     const double s = runner.speedup(r);
     EXPECT_GT(s, 0.5);
     EXPECT_LT(s, 10.0);

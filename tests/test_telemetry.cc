@@ -334,26 +334,56 @@ TEST(TelemetryEndToEnd, DisabledRunCarriesNoSeries)
 
 // ------------------------------------------------------- ResultWriter
 
-TEST(ResultWriter, JsonOutputPathPrecedence)
+TEST(BenchArgs, JsonPathPrecedence)
 {
     const char *argv1[] = {"bench", "--json", "cli.json"};
-    EXPECT_EQ(sim::jsonOutputPath(3, const_cast<char *const *>(argv1)),
+    EXPECT_EQ(sim::BenchArgs(3, const_cast<char *const *>(argv1)).json(),
               "cli.json");
     const char *argv2[] = {"bench", "--json=eq.json"};
-    EXPECT_EQ(sim::jsonOutputPath(2, const_cast<char *const *>(argv2)),
+    EXPECT_EQ(sim::BenchArgs(2, const_cast<char *const *>(argv2)).json(),
               "eq.json");
 
     const char *argv3[] = {"bench"};
     {
         ScopedEnv e("SILC_JSON", "env.json");
-        EXPECT_EQ(sim::jsonOutputPath(1, const_cast<char *const *>(argv3)),
+        EXPECT_EQ(sim::BenchArgs(1, const_cast<char *const *>(argv3)).json(),
                   "env.json");
         // CLI wins over the environment.
-        EXPECT_EQ(sim::jsonOutputPath(2, const_cast<char *const *>(argv2)),
+        EXPECT_EQ(sim::BenchArgs(2, const_cast<char *const *>(argv2)).json(),
                   "eq.json");
     }
-    EXPECT_EQ(sim::jsonOutputPath(1, const_cast<char *const *>(argv3)),
+    EXPECT_EQ(sim::BenchArgs(1, const_cast<char *const *>(argv3)).json(),
               "");
+}
+
+TEST(BenchArgs, FlagsAndOptions)
+{
+    const char *argv[] = {"bench", "--sample", "--workload", "lbm",
+                          "--json=x.json"};
+    const sim::BenchArgs args(5, const_cast<char *const *>(argv),
+                              {"--sample", "--perf"}, {"--workload"});
+    EXPECT_TRUE(args.has("--sample"));
+    EXPECT_FALSE(args.has("--perf"));
+    EXPECT_EQ(args.value("--workload", "mcf"), "lbm");
+    EXPECT_EQ(args.value("--other", "dflt"), "dflt");
+    EXPECT_EQ(args.json(), "x.json");
+}
+
+TEST(BenchArgsDeathTest, UnknownArgumentIsFatal)
+{
+    // A misspelt flag must not silently run the default mode.
+    const char *typo[] = {"bench", "--smaple"};
+    EXPECT_DEATH(sim::BenchArgs(2, const_cast<char *const *>(typo),
+                                {"--sample"}),
+                 "unknown argument '--smaple'");
+    // A flag takes no value; an option needs one.
+    const char *valued[] = {"bench", "--sample=1"};
+    EXPECT_DEATH(sim::BenchArgs(2, const_cast<char *const *>(valued),
+                                {"--sample"}),
+                 "unknown argument '--sample=1'");
+    const char *bare[] = {"bench", "--json"};
+    EXPECT_DEATH(sim::BenchArgs(2, const_cast<char *const *>(bare)),
+                 "--json requires a value");
 }
 
 TEST(ResultWriter, SerializesSchemaAndRuns)
