@@ -34,6 +34,12 @@ struct CacheParams
     uint64_t size_bytes = 16 * 1024;
     uint32_t associativity = 4;
     uint32_t line_bytes = static_cast<uint32_t>(kSubblockSize);
+    /**
+     * Hit latency of this level alone.  MemoryHierarchy completes an L1
+     * hit after the L1D latency and an L2 hit after the L1D plus L2
+     * latencies (the lookup misses L1 first).  The L1I is functional
+     * and never adds to a load's latency.
+     */
     uint32_t latency_cycles = 4;
     Replacement replacement = Replacement::Lru;
 
@@ -114,9 +120,6 @@ class Cache
         return total == 0 ? 0.0
                           : static_cast<double>(misses_) / total;
     }
-
-    /** Invalidate everything and clear statistics. */
-    void reset();
 
     /**
      * Serialize the array contents (tags, valid/dirty bits, LRU state)

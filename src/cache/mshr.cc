@@ -136,19 +136,5 @@ MshrFile::complete(Addr block_addr, Tick now)
     return 1 + more.size();
 }
 
-void
-MshrFile::reset()
-{
-    for (Slot &s : slots_) {
-        s.addr = kAddrInvalid;
-        s.first = nullptr;
-        s.more.clear();
-    }
-    count_ = 0;
-    per_core_.assign(per_core_.size(), 0);
-    coalesced_ = 0;
-    rejections_ = 0;
-}
-
 } // namespace cache
 } // namespace silc

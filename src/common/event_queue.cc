@@ -68,12 +68,4 @@ EventQueue::nextEventTick() const
     return heap_.empty() ? kTickNever : heap_.front().when;
 }
 
-void
-EventQueue::clear()
-{
-    heap_.clear();
-    tombstones_.clear();
-    last_run_tick_ = 0;
-}
-
 } // namespace silc

@@ -81,7 +81,7 @@ class EventQueue
      *
      * @pre id names an event that has not fired yet (callers must drop
      *      their handle when the callback runs); cancelling a fired id
-     *      would leak a tombstone until clear().
+     *      would leak a tombstone for the queue's lifetime.
      */
     void cancel(EventId id);
 
@@ -120,9 +120,6 @@ class EventQueue
     /** Total number of events ever cancelled. */
     uint64_t cancelled() const { return cancelled_total_; }
 
-    /** Drop all pending events (used between experiment runs). */
-    void clear();
-
   private:
     struct Entry
     {
@@ -145,8 +142,8 @@ class EventQueue
     size_t runDueSlow(Tick now);
 
     // An explicit vector heap (std::push_heap/pop_heap) instead of
-    // std::priority_queue: the storage can be reserved up front and its
-    // capacity survives clear(), and popped entries move out cleanly
+    // std::priority_queue: the storage can be reserved up front, and
+    // popped entries move out cleanly
     // without the const_cast that priority_queue::top() forces.
     std::vector<Entry> heap_;
     /** Sequence numbers of cancelled-but-not-yet-popped entries. */

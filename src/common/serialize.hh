@@ -8,7 +8,7 @@
  * BlobWriter appends typed little-endian fields; BlobReader consumes
  * them in the same order.  There is no self-describing framing beyond
  * four-byte section tags: writer and reader are versioned together via
- * the 'SILC' header section (see sample/checkpoint.cc), which is enough
+ * the 'SILC' header section (see System::snapshotState), which is enough
  * for an in-process, same-binary format.
  *
  * Readers are bounds-checked: a truncated or misordered blob is a

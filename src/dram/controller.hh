@@ -128,9 +128,6 @@ class ChannelController
     uint64_t readsServed() const { return reads_served_; }
     uint64_t writesServed() const { return writes_served_; }
 
-    /** Forget all queued work and bank state; re-arm the first refresh. */
-    void reset();
-
     // ---- test-only introspection (wakeup-oracle unit tests) ----------
 
     Tick nextRefreshAt() const { return next_refresh_; }

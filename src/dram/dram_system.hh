@@ -173,9 +173,6 @@ class DramSystem
     void registerTelemetry(telemetry::Sampler &sampler,
                            const std::string &prefix) const;
 
-    /** Clear all queues, bank state and statistics. */
-    void reset();
-
     /** Per-channel access for tests (wakeup-oracle introspection). */
     const ChannelController &channel(size_t i) const
     {

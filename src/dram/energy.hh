@@ -51,8 +51,6 @@ class EnergyMeter
     /** Dynamic-only energy in joules (no background power). */
     double dynamicJoules(const DramTimingParams &p) const;
 
-    void reset();
-
   private:
     uint64_t activations_ = 0;
     uint64_t read_bytes_ = 0;

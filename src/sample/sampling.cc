@@ -8,6 +8,7 @@
 
 #include "common/knobs.hh"
 #include "common/logging.hh"
+#include "common/serialize.hh"
 #include "common/stats.hh"
 #include "core/silc_fm.hh"
 #include "dram/dram_system.hh"
@@ -162,7 +163,8 @@ SamplingController::SamplingController(sim::SystemConfig cfg,
 }
 
 WindowSample
-SamplingController::replayWindow(const Checkpoint &ckpt, uint64_t index)
+SamplingController::replayWindow(const std::vector<uint8_t> &blob,
+                                 uint64_t index)
 {
     sim::SystemConfig rcfg = cfg_;
     rcfg.telemetry.enabled = false;
@@ -173,7 +175,8 @@ SamplingController::replayWindow(const Checkpoint &ckpt, uint64_t index)
     rcfg.instructions_per_core = scfg_.warmup;
 
     sim::System sys(rcfg);
-    restore(sys, ckpt);
+    BlobReader reader(blob);
+    sys.restoreState(reader);
 
     // Detailed warmup: re-populates MSHR/DRAM/row-buffer timing state
     // from the checkpoint's architectural state; measurements discard it.
@@ -270,13 +273,15 @@ SamplingController::run()
     const uint64_t total = cfg_.instructions_per_core;
     const uint64_t n_ckpt = std::max<uint64_t>(1, total / scfg_.period);
 
-    std::vector<Checkpoint> ckpts;
-    ckpts.reserve(n_ckpt);
+    std::vector<std::vector<uint8_t>> blobs;
+    blobs.reserve(n_ckpt);
     for (uint64_t k = 0; k < n_ckpt; ++k) {
         warm.setPerCoreBudget(k * scfg_.period);
         if (!warm.runToBudget())
             fatal("sampling: functional warming hit the tick limit");
-        ckpts.push_back(capture(warm, k * scfg_.period));
+        BlobWriter w;
+        warm.snapshotState(w);
+        blobs.push_back(w.data());
     }
     // The stream past the last checkpoint feeds no replay window, so
     // executing it buys nothing measurable — skip it unless the
@@ -303,15 +308,15 @@ SamplingController::run()
         // the CI test runs only at batch boundaries.
         constexpr size_t kBatch = 4;
         size_t next = 0;
-        while (next < ckpts.size() && !early) {
-            const size_t end = std::min(next + kBatch, ckpts.size());
+        while (next < blobs.size() && !early) {
+            const size_t end = std::min(next + kBatch, blobs.size());
             std::vector<std::future<WindowSample>> futs;
             futs.reserve(end - next);
             for (size_t i = next; i < end; ++i) {
                 auto task =
                     std::make_shared<std::packaged_task<WindowSample()>>(
-                        [this, &ckpts, i] {
-                            return replayWindow(ckpts[i], i);
+                        [this, &blobs, i] {
+                            return replayWindow(blobs[i], i);
                         });
                 futs.push_back(task->get_future());
                 pool.submit([task] { (*task)(); });
@@ -321,7 +326,7 @@ SamplingController::run()
             next = end;
             if (scfg_.ci_target > 0.0 &&
                 agg.windows() >= scfg_.min_windows &&
-                next < ckpts.size()) {
+                next < blobs.size()) {
                 const MetricEstimate e = agg.estimate("ipc");
                 if (e.mean > 0.0 && e.ci_half / e.mean <= scfg_.ci_target)
                     early = true;
@@ -334,7 +339,7 @@ SamplingController::run()
     report->period = scfg_.period;
     report->window = scfg_.window;
     report->warmup = scfg_.warmup;
-    report->checkpoints = static_cast<uint32_t>(ckpts.size());
+    report->checkpoints = static_cast<uint32_t>(blobs.size());
     report->windows = static_cast<uint32_t>(agg.windows());
     report->early_stopped = early;
     report->warm_instructions = warmed;

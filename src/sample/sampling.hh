@@ -13,7 +13,7 @@
  *     no DRAM timing, no queueing (System::setFunctionalMode()).  At
  *     every systematic interval of SILC_SAMPLE_PERIOD per-core
  *     instructions the warming system is checkpointed to an in-memory
- *     blob (sample/checkpoint.hh).
+ *     blob (System::snapshotState()).
  *
  *  2. N independent **detailed replays**, one per checkpoint, executed
  *     in parallel on the shared ThreadPool (sim/parallel.hh).  Each
@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "sample/checkpoint.hh"
 #include "sim/experiment.hh"
 #include "sim/metrics.hh"
 #include "sim/system.hh"
@@ -174,7 +173,8 @@ class SamplingController
     sim::SimResult run();
 
   private:
-    WindowSample replayWindow(const Checkpoint &ckpt, uint64_t index);
+    WindowSample replayWindow(const std::vector<uint8_t> &blob,
+                              uint64_t index);
 
     sim::SystemConfig cfg_;
     SamplingConfig scfg_;

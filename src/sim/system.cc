@@ -1,12 +1,13 @@
 #include "sim/system.hh"
 
 #include <cinttypes>
+#include <iomanip>
+#include <sstream>
 
 #include "check/differential.hh"
 #include "check/shadow.hh"
 #include "common/logging.hh"
 #include "common/serialize.hh"
-#include "common/stats.hh"
 #include "policy/registry.hh"
 #include "policy/static_random.hh"
 #include "trace/file_trace.hh"
@@ -174,7 +175,7 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
     // L1 hit path.
     if (l1.accessIfHit(paddr, is_write)) {
         if (done)
-            done(now + cfg_.l1_latency);
+            done(now + cfg_.l1d.latency_cycles);
         return true;
     }
 
@@ -263,7 +264,7 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
             policy_.writeback(ol2.writeback_addr, core, now);
     }
     if (done)
-        done(now + cfg_.l2_latency);
+        done(now + cfg_.l1d.latency_cycles + cfg_.l2.latency_cycles);
     return true;
 }
 
@@ -706,24 +707,23 @@ System::collectResult(bool all_done)
 void
 System::dumpStats(std::ostream &os) const
 {
-    stats::StatSet set;
-    // The set holds pointers; keep the stat objects alive for the dump.
-    std::vector<std::unique_ptr<stats::Scalar>> scalars;
-    std::vector<std::unique_ptr<stats::Average>> averages;
-
+    // gem5 stats.txt layout: "name value # desc".  Counters print as
+    // exact integers; averages through a default-formatted stream.
+    const std::string prefix = std::string(policy_->name()) + ".";
+    auto line = [&](const std::string &name, const std::string &value,
+                    const char *desc) {
+        os << std::left << std::setw(44) << (prefix + name) << " "
+           << std::setw(16) << value << " # " << desc << "\n";
+    };
     auto add_scalar = [&](const std::string &name, uint64_t value,
                           const char *desc) {
-        auto stat = std::make_unique<stats::Scalar>();
-        *stat += value;
-        set.add(name, stat->describe(desc));
-        scalars.push_back(std::move(stat));
+        line(name, std::to_string(value), desc);
     };
     auto add_avg = [&](const std::string &name, double value,
                        const char *desc) {
-        auto stat = std::make_unique<stats::Average>();
-        stat->sample(value);
-        set.add(name, stat->describe(desc));
-        averages.push_back(std::move(stat));
+        std::ostringstream v;
+        v << value;
+        line(name, v.str(), desc);
     };
 
     for (uint32_t c = 0; c < cfg_.cores; ++c) {
@@ -787,8 +787,6 @@ System::dumpStats(std::ostream &os) const
                "subblock migration operations");
     add_avg("policy.accessRate", policy_->accessRate(),
             "Equation 1 access rate");
-
-    set.dump(os, std::string(policy_->name()) + ".");
 }
 
 } // namespace sim

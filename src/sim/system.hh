@@ -82,8 +82,6 @@ struct SystemConfig
     uint64_t tenant_churn_interval = 0;
 
     cpu::CoreParams core_params;
-    uint32_t l1_latency = 4;
-    uint32_t l2_latency = 15;
     /** Extra ticks between LLC fill and dependent wakeup. */
     uint32_t fill_latency = 2;
 
@@ -191,17 +189,27 @@ class System
     }
 
     /**
-     * Serialize the architectural state (translation, caches, policy
-     * metadata, trace positions) into a checkpoint blob.  Only legal at
-     * a functional-mode pause point: the MSHR file must be empty and
-     * both DRAM systems idle.  Timing state is deliberately excluded —
-     * replays start from quiesced devices and re-warm them during the
-     * detailed-warmup prefix of each window.
+     * Serialize the architectural state into a checkpoint blob for the
+     * sampling subsystem (sample/sampling.hh): translation mappings,
+     * cache contents, policy metadata (SILC-FM remap/bit-vector/lock
+     * state, predictor and balancer state, counters) and per-core trace
+     * positions.  Only legal at a functional-mode pause point
+     * (runToBudget() returned true in functional mode): the MSHR file
+     * must be empty and both DRAM systems idle, which this asserts.
+     * Timing state — MSHRs, DRAM queues, in-flight events — is
+     * deliberately excluded: replays start from quiesced devices and
+     * re-warm them during the detailed-warmup prefix of each window.
+     *
+     * Because replays construct their System from the identical
+     * SystemConfig, constructor-derived state (frame shuffle order,
+     * workload profile tables, RNG-free masks) is reproduced exactly and
+     * never serialized; only mutable runtime state goes into the blob.
      */
     void snapshotState(BlobWriter &w) const;
 
-    /** Restore state captured by snapshotState() on an identically
-     *  configured System. */
+    /** Restore state captured by snapshotState() into a freshly built,
+     *  identically configured System (fatal on policy/core-count
+     *  mismatch, truncation, or trailing bytes). */
     void restoreState(BlobReader &r);
 
     /** Current cycle of the resumable sequential loop. */

@@ -54,21 +54,6 @@ Sampler::addRatio(std::string name, ReadFn num, ReadFn den)
 }
 
 void
-Sampler::addStatSet(const stats::StatSet &set, const std::string &prefix)
-{
-    const std::string p =
-        prefix.empty() || prefix.back() == '.' ? prefix : prefix + ".";
-    for (const auto &name : set.names()) {
-        const stats::StatBase *stat = set.find(name);
-        const auto read = [stat] { return stat->value(); };
-        if (dynamic_cast<const stats::Scalar *>(stat) != nullptr)
-            addCounter(p + name, read);
-        else
-            addGauge(p + name, read);
-    }
-}
-
-void
 Sampler::addDistribution(const std::string &name,
                          const stats::Distribution &dist)
 {

@@ -14,9 +14,8 @@
  * Counter-style derivations make monotonic whole-run counters — which is
  * what every component in this codebase already keeps — directly usable
  * as phase-resolved series without the components tracking epochs
- * themselves.  A stats::StatSet can be registered wholesale (Scalars
- * become Counters, everything else a Gauge), and a stats::Distribution
- * registers as p50/p95/p99 percentile gauges rather than raw buckets.
+ * themselves.  A stats::Distribution registers as p50/p95/p99
+ * percentile gauges rather than raw buckets.
  */
 
 #ifndef SILC_TELEMETRY_SAMPLER_HH
@@ -56,13 +55,6 @@ class Sampler
      * denominator did not move.
      */
     void addRatio(std::string name, ReadFn num, ReadFn den);
-
-    /**
-     * Register every stat of @p set under @p prefix: Scalars as
-     * Counters (delta derivation), everything else as Gauges.  The set
-     * and its stats must outlive the Sampler.
-     */
-    void addStatSet(const stats::StatSet &set, const std::string &prefix);
 
     /**
      * Register @p dist as three percentile gauges (<name>.p50/.p95/.p99,

@@ -13,7 +13,6 @@
 
 #include "common/serialize.hh"
 #include "core/silc_fm.hh"
-#include "sample/checkpoint.hh"
 #include "sample/sampling.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -44,6 +43,15 @@ smokeSamplingConfig()
     s.warmup = 5'000;
     s.threads = 2;
     return s;
+}
+
+/** A checkpoint blob of @p sys, as the sampling controller takes it. */
+std::vector<uint8_t>
+snapshotBlob(const System &sys)
+{
+    BlobWriter w;
+    sys.snapshotState(w);
+    return w.data();
 }
 
 } // namespace
@@ -167,15 +175,16 @@ TEST(CheckpointTest, RoundTripIsByteExact)
     warm.setFunctionalMode(true);
     warm.setPerCoreBudget(30'000);
     ASSERT_TRUE(warm.runToBudget());
-    const Checkpoint a = capture(warm, 30'000);
+    const std::vector<uint8_t> a = snapshotBlob(warm);
 
     // Restoring into a fresh system and re-capturing must reproduce the
     // blob byte for byte: nothing outside the checkpoint affects it.
     System fresh(cfg);
-    restore(fresh, a);
-    const Checkpoint b = capture(fresh, 30'000);
-    EXPECT_EQ(a.blob, b.blob);
-    EXPECT_GT(a.blob.size(), 0u);
+    BlobReader r(a);
+    fresh.restoreState(r);
+    const std::vector<uint8_t> b = snapshotBlob(fresh);
+    EXPECT_EQ(a, b);
+    EXPECT_GT(a.size(), 0u);
 }
 
 TEST(CheckpointTest, ReplayFromCheckpointIsDeterministic)
@@ -187,13 +196,14 @@ TEST(CheckpointTest, ReplayFromCheckpointIsDeterministic)
     warm.setFunctionalMode(true);
     warm.setPerCoreBudget(40'000);
     ASSERT_TRUE(warm.runToBudget());
-    const Checkpoint ckpt = capture(warm, 40'000);
+    const std::vector<uint8_t> blob = snapshotBlob(warm);
 
     auto replay = [&](uint64_t budget) {
         SystemConfig rcfg = cfg;
         rcfg.instructions_per_core = budget;
         System sys(rcfg);
-        restore(sys, ckpt);
+        BlobReader r(blob);
+        sys.restoreState(r);
         EXPECT_TRUE(sys.runToBudget());
         return std::make_pair(sys.currentCycle(),
                               sys.hierarchy().llcMisses());
@@ -212,12 +222,13 @@ TEST(CheckpointDeath, PolicyMismatchDies)
     warm.setFunctionalMode(true);
     warm.setPerCoreBudget(10'000);
     ASSERT_TRUE(warm.runToBudget());
-    const Checkpoint ckpt = capture(warm, 10'000);
+    const std::vector<uint8_t> blob = snapshotBlob(warm);
 
     SystemConfig other = sampleConfig("mcf", "cam", 2,
                                       100'000);
     System victim(other);
-    EXPECT_DEATH(restore(victim, ckpt), "does not match");
+    BlobReader r(blob);
+    EXPECT_DEATH(victim.restoreState(r), "does not match");
 }
 
 // ---- Functional warming ------------------------------------------------

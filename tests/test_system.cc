@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "policy/registry.hh"
 #include "sim/parallel.hh"
@@ -211,9 +215,13 @@ TEST(SystemIntegration, RecordedTraceReplaysIdentically)
 
 TEST(SystemIntegration, StatsDumpCoversComponents)
 {
-    SystemConfig cfg = tinyConfig("gcc", "silcfm");
+    // Large enough that byte and tick counters pass 10^6, where a
+    // six-significant-digit floating-point rendering would round them.
+    SystemConfig cfg = tinyConfig("mcf", "silcfm");
+    cfg.instructions_per_core = 100'000;
     System system(cfg);
     system.run();
+    ASSERT_GT(system.nm()->traffic().total(), 1'000'000u);
     std::ostringstream os;
     system.dumpStats(os);
     const std::string text = os.str();
@@ -224,6 +232,56 @@ TEST(SystemIntegration, StatsDumpCoversComponents)
     }
     // Values render next to descriptions.
     EXPECT_NE(text.find("# instructions retired"), std::string::npos);
+
+    // Every integer counter prints as its exact decimal value.
+    std::map<std::string, std::string> values;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+        std::istringstream fields(line);
+        std::string name, value;
+        fields >> name >> value;
+        values[name] = value;
+    }
+    const MemoryHierarchy &h = system.hierarchy();
+    const policy::FlatMemoryPolicy &pol = system.policyRef();
+    std::vector<std::pair<std::string, uint64_t>> expected = {
+        {"l2.hits", h.l2().hits()},
+        {"l2.misses", h.l2().misses()},
+        {"l2.writebacks", h.l2().writebacks()},
+        {"mshr.coalesced", h.mshrs().coalesced()},
+        {"mshr.rejections", h.mshrs().rejections()},
+        {"llc.misses", h.llcMisses()},
+        {"policy.nmServiced", pol.nmServiced()},
+        {"policy.fmServiced", pol.fmServiced()},
+        {"policy.migrationOps", pol.migrationOps()},
+    };
+    for (uint32_t c = 0; c < cfg.cores; ++c) {
+        const std::string pfx = "core" + std::to_string(c) + ".";
+        const cpu::Core &core = system.core(c);
+        expected.emplace_back(pfx + "retired", core.retired());
+        expected.emplace_back(pfx + "loads", core.loads());
+        expected.emplace_back(pfx + "stores", core.stores());
+        expected.emplace_back(pfx + "robFullCycles", core.robFullCycles());
+        expected.emplace_back(pfx + "memStallCycles",
+                              core.memStallCycles());
+        expected.emplace_back(pfx + "finishTick", core.finishTick());
+        expected.emplace_back(pfx + "l1d.hits", h.l1d(c).hits());
+        expected.emplace_back(pfx + "l1d.misses", h.l1d(c).misses());
+    }
+    auto add_dram = [&](const std::string &pfx,
+                        const dram::DramSystem &dev) {
+        expected.emplace_back(pfx + "reads", dev.readsServed());
+        expected.emplace_back(pfx + "writes", dev.writesServed());
+        expected.emplace_back(pfx + "rowHits", dev.rowHits());
+        expected.emplace_back(pfx + "rowMisses", dev.rowMisses());
+        expected.emplace_back(pfx + "activations", dev.activations());
+        expected.emplace_back(pfx + "bytes", dev.traffic().total());
+        expected.emplace_back(pfx + "demandBytes", dev.demandBytes());
+    };
+    add_dram("nm.", *system.nm());
+    add_dram("fm.", system.fm());
+    for (const auto &[name, value] : expected)
+        EXPECT_EQ(values["silcfm." + name], std::to_string(value)) << name;
 }
 
 TEST(SystemConfigDeath, SimThreadsOtherThanOneIsFatal)
