@@ -9,7 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -153,9 +152,8 @@ struct EventPayload
 
 /**
  * schedule/runDue throughput with the capture held directly in the
- * EventCallback (the post-SmallFunction hot path).  Counter
- * "events/sec" is the figure the EventQueue optimisation targets;
- * compare against BM_EventScheduleStdFunction below for the before.
+ * EventCallback (the simulator's hot path).  Counter "events/sec" is
+ * the EventQueue's figure of merit.
  */
 static void
 BM_EventScheduleInline(benchmark::State &state)
@@ -168,10 +166,10 @@ BM_EventScheduleInline(benchmark::State &state)
         (void)_;
         for (int i = 0; i < 64; ++i) {
             EventPayload payload{done, now};
-            q.scheduleIn(now, 1 + (i & 3),
-                         [payload = std::move(payload)](Tick t) mutable {
-                             payload.done(t + payload.context);
-                         });
+            q.schedule(now + 1 + (i & 3),
+                       [payload = std::move(payload)](Tick t) mutable {
+                           payload.done(t + payload.context);
+                       });
         }
         now += 4;
         q.runDue(now);
@@ -183,65 +181,9 @@ BM_EventScheduleInline(benchmark::State &state)
 BENCHMARK(BM_EventScheduleInline);
 
 /**
- * The pre-optimisation behavior: every callback funnelled through a
- * std::function first, so each schedule() heap-allocates the oversized
- * capture exactly as the old std::function-based EventCallback did.
- */
-static void
-BM_EventScheduleStdFunction(benchmark::State &state)
-{
-    EventQueue q;
-    uint64_t sink = 0;
-    std::function<void(Tick)> done = [&sink](Tick t) { sink += t; };
-    Tick now = 0;
-    for (auto _ : state) {
-        (void)_;
-        for (int i = 0; i < 64; ++i) {
-            EventPayload payload{done, now};
-            std::function<void(Tick)> boxed =
-                [payload = std::move(payload)](Tick t) mutable {
-                    payload.done(t + payload.context);
-                };
-            q.scheduleIn(now, 1 + (i & 3), std::move(boxed));
-        }
-        now += 4;
-        q.runDue(now);
-    }
-    benchmark::DoNotOptimize(sink);
-    state.counters["events/sec"] = benchmark::Counter(
-        static_cast<double>(q.executed()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EventScheduleStdFunction);
-
-/**
- * The old FR-FCFS pick: std::deque keyed queue, erase from the middle.
- * Kept as the baseline for BM_FrFcfsPickArena — the erase shifts
- * everything behind the picked element.
- */
-static void
-BM_FrFcfsPickDequeErase(benchmark::State &state)
-{
-    const size_t depth = static_cast<size_t>(state.range(0));
-    std::deque<uint64_t> q;
-    Rng rng(7);
-    uint64_t next_id = 0;
-    for (size_t i = 0; i < depth; ++i)
-        q.push_back(next_id++);
-    for (auto _ : state) {
-        (void)_;
-        // Pick from the middle (a row hit deep in the window), erase,
-        // refill at the tail — the steady state of a saturated channel.
-        const size_t pick = rng.below(q.size());
-        benchmark::DoNotOptimize(q[pick]);
-        q.erase(q.begin() + static_cast<ptrdiff_t>(pick));
-        q.push_back(next_id++);
-    }
-}
-BENCHMARK(BM_FrFcfsPickDequeErase)->Arg(8)->Arg(32)->Arg(128);
-
-/**
- * The replacement: request arena with an intrusive singly-linked FIFO.
- * The pick unlinks in O(1) once found; the freed slot is recycled.
+ * The FR-FCFS pick pattern of ChannelController: request arena with an
+ * intrusive singly-linked FIFO.  The pick unlinks in O(1) once found;
+ * the freed slot is recycled.
  */
 static void
 BM_FrFcfsPickArena(benchmark::State &state)
@@ -338,36 +280,6 @@ BM_ControllerSaturatedScan(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ControllerSaturatedScan);
-
-/**
- * scheduleCancellable + cancel churn: the cancel/re-arm pattern an
- * event-driven wakeup consumer would generate at worst case (every
- * armed deadline superseded before it fires).  Tombstones are lazy, so
- * the cost to beat is one hash insert/erase per cancel.
- */
-static void
-BM_EventCancelRearm(benchmark::State &state)
-{
-    EventQueue q;
-    uint64_t sink = 0;
-    Tick now = 0;
-    for (auto _ : state) {
-        (void)_;
-        EventId id = q.scheduleCancellable(
-            now + 100, [&sink](Tick t) { sink += t; });
-        for (int i = 0; i < 4; ++i) {
-            q.cancel(id);
-            id = q.scheduleCancellable(
-                now + 10 + i, [&sink](Tick t) { sink += t; });
-        }
-        now += 16;
-        q.runDue(now);
-    }
-    benchmark::DoNotOptimize(sink);
-    state.counters["cancels/sec"] = benchmark::Counter(
-        static_cast<double>(q.cancelled()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_EventCancelRearm);
 
 static void
 BM_DramDecode(benchmark::State &state)

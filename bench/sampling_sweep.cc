@@ -4,9 +4,9 @@
  * full detail, once through the statistical sampling subsystem
  * (src/sample/) — and prints every sampled metric next to the full-run
  * value and its 95% confidence interval.  This is the differential
- * harness behind the sampling-smoke CI job and BENCH_sampling.json: a
- * healthy sampler keeps each full-run value inside the sampled CI while
- * finishing several times faster.
+ * harness behind the sampling-smoke CI job: a healthy sampler keeps each
+ * full-run value inside the sampled CI while finishing several times
+ * faster.
  *
  * Scale with SILC_CORES / SILC_INSTR / SILC_SEED; tune the sampler with
  * SILC_SAMPLE_PERIOD / SILC_SAMPLE_WINDOW / SILC_SAMPLE_WARMUP /
@@ -18,7 +18,7 @@
  * section.  --workload <name> picks a Table III workload (default mcf).
  * --paper-channels uses the full paper channel counts (8 HBM2
  * pseudo-channels vs 4 DDR3 channels, as fig8 --perf) instead of the
- * scaled-down table machine — the BENCH_sampling.json fixture, since
+ * scaled-down table machine — the speedup-at-scale fixture, since
  * detailed-mode cost there reflects a bandwidth-stressed memory system.
  * Stderr footer for CI parsing:
  *   [sampling] W windows in S s (Fx speedup, C checkpoints)

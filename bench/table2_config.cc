@@ -52,11 +52,9 @@ main()
     row("ROB entries", fmt("%u", cfg.core_params.rob_entries), "128");
 
     std::printf("\nCaches\n");
-    row("L1 I (private)",
-        fmt("%" PRIu64 "KB, %u-way, %u cycles",
-            cfg.l1i.size_bytes >> 10,
-            cfg.l1i.associativity, cfg.l1i.latency_cycles),
-        "64KB, 2-way, 4 cycles");
+    // No figure reads an instruction-side count, so the L1I is not
+    // simulated.
+    row("L1 I (private)", "not modelled", "64KB, 2-way, 4 cycles");
     row("L1 D (private)",
         fmt("%" PRIu64 "KB, %u-way, %u cycles",
             cfg.l1d.size_bytes >> 10,

@@ -4,8 +4,8 @@
  *
  * The cache is functional (hit/miss and victim bookkeeping); access
  * latencies are applied by the memory hierarchy that owns it.  Geometry
- * defaults follow Table II of the paper (L1I 64K/2w, L1D 16K/4w,
- * shared L2 8M/16w, 64B lines).
+ * defaults follow Table II of the paper (L1D 16K/4w, shared L2
+ * 8M/16w, 64B lines; the L1I is not modelled).
  */
 
 #ifndef SILC_CACHE_CACHE_HH
@@ -37,8 +37,7 @@ struct CacheParams
     /**
      * Hit latency of this level alone.  MemoryHierarchy completes an L1
      * hit after the L1D latency and an L2 hit after the L1D plus L2
-     * latencies (the lookup misses L1 first).  The L1I is functional
-     * and never adds to a load's latency.
+     * latencies (the lookup misses L1 first).
      */
     uint32_t latency_cycles = 4;
     Replacement replacement = Replacement::Lru;

@@ -83,9 +83,6 @@ class ShadowChecker final : public policy::AccessObserver
     uint64_t accessesChecked() const { return checked_; }
     uint64_t sweepsRun() const { return sweeps_; }
 
-    /** Blocks in the touched set (sweep cost; diagnostics). */
-    uint64_t touchedBlocks() const { return touched_.size(); }
-
     /**
      * Full sweep right now: bounds, injectivity, data currency, and NM
      * occupancy over every touched flat block (untouched blocks are at

@@ -27,23 +27,6 @@ EventQueue::schedule(Tick when, EventCallback cb)
     std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-EventId
-EventQueue::scheduleCancellable(Tick when, EventCallback cb)
-{
-    const EventId id = next_seq_;
-    schedule(when, std::move(cb));
-    return id;
-}
-
-void
-EventQueue::cancel(EventId id)
-{
-    if (id == kEventIdInvalid)
-        return;
-    tombstones_.insert(id);
-    ++cancelled_total_;
-}
-
 size_t
 EventQueue::runDueSlow(Tick now)
 {
@@ -53,8 +36,6 @@ EventQueue::runDueSlow(Tick now)
         std::pop_heap(heap_.begin(), heap_.end(), Later{});
         Entry entry = std::move(heap_.back());
         heap_.pop_back();
-        if (!tombstones_.empty() && tombstones_.erase(entry.seq) != 0)
-            continue;
         entry.cb(entry.when);
         ++count;
         ++executed_;

@@ -12,7 +12,6 @@
 #define SILC_COMMON_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/small_function.hh"
@@ -31,19 +30,13 @@ namespace silc {
  */
 using EventCallback = SmallFunction<void(Tick), 64>;
 
-/** Handle naming one cancellable event (see scheduleCancellable()). */
-using EventId = uint64_t;
-
-/** Sentinel for "no event" / "already fired". */
-constexpr EventId kEventIdInvalid = ~EventId(0);
-
 /**
  * Min-heap of timed callbacks with FIFO tie-breaking.
  *
  * The queue is intentionally simple: the simulator's hot paths (cores and
- * memory controllers) tick explicitly in the main loop, so only
- * transaction-completion style events and the DRAM controllers' re-armed
- * wakeups land here.
+ * memory controllers) tick explicitly in the main loop, and the DRAM
+ * controllers keep their own wakeup registers, so only
+ * transaction-completion style events land here.
  */
 class EventQueue
 {
@@ -59,31 +52,6 @@ class EventQueue
      * @pre when must not be in the past relative to the last runDue() tick.
      */
     void schedule(Tick when, EventCallback cb);
-
-    /** Schedule @p cb to run @p delay ticks after @p now. */
-    void
-    scheduleIn(Tick now, Tick delay, EventCallback cb)
-    {
-        schedule(now + delay, std::move(cb));
-    }
-
-    /**
-     * Like schedule(), but returns a handle usable with cancel().  The
-     * handle is consumed when the event fires; callers that re-arm must
-     * forget it at the top of the callback (see ChannelController).
-     */
-    EventId scheduleCancellable(Tick when, EventCallback cb);
-
-    /**
-     * Cancel a pending cancellable event.  The entry stays in the heap
-     * and is discarded (without running) when it reaches the front —
-     * lazy deletion, so cancel is O(1).
-     *
-     * @pre id names an event that has not fired yet (callers must drop
-     *      their handle when the callback runs); cancelling a fired id
-     *      would leak a tombstone for the queue's lifetime.
-     */
-    void cancel(EventId id);
 
     /**
      * Run every event due at or before @p now, in (tick, insertion) order.
@@ -108,7 +76,7 @@ class EventQueue
     /** Tick of the earliest pending event, or kTickNever when empty. */
     Tick nextEventTick() const;
 
-    /** True when no events are pending (cancelled entries count). */
+    /** True when no events are pending. */
     bool empty() const { return heap_.empty(); }
 
     /** Number of pending events. */
@@ -117,8 +85,12 @@ class EventQueue
     /** Total number of events ever executed. */
     uint64_t executed() const { return executed_; }
 
-    /** Total number of events ever cancelled. */
-    uint64_t cancelled() const { return cancelled_total_; }
+    /**
+     * Always 0: events cannot be cancelled.  The accessor survives only
+     * because the repository benchmark (perfbench/) reads it, like
+     * SystemConfig::sim_threads; remove it together with that read.
+     */
+    uint64_t cancelled() const { return 0; }
 
   private:
     struct Entry
@@ -146,11 +118,8 @@ class EventQueue
     // popped entries move out cleanly
     // without the const_cast that priority_queue::top() forces.
     std::vector<Entry> heap_;
-    /** Sequence numbers of cancelled-but-not-yet-popped entries. */
-    std::unordered_set<uint64_t> tombstones_;
     uint64_t next_seq_ = 0;
     uint64_t executed_ = 0;
-    uint64_t cancelled_total_ = 0;
     Tick last_run_tick_ = 0;
 };
 

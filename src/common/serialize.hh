@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace silc {
@@ -46,6 +47,8 @@ class BlobWriter
     void section(const char tag[5]);
 
     const std::vector<uint8_t> &data() const { return buf_; }
+    /** Move the buffer out; the writer is left empty. */
+    std::vector<uint8_t> take() && { return std::move(buf_); }
     size_t size() const { return buf_.size(); }
 
   private:

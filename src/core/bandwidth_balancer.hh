@@ -46,7 +46,6 @@ class BandwidthBalancer
     double lastWindowRate() const { return last_rate_; }
 
     uint64_t windowsElapsed() const { return windows_; }
-    uint64_t bypassedWindows() const { return bypassed_windows_; }
 
     /** Serialize / restore the window state (ctor params excluded). */
     void
@@ -57,7 +56,6 @@ class BandwidthBalancer
         w.putBool(bypassing_);
         w.putF64(last_rate_);
         w.putU64(windows_);
-        w.putU64(bypassed_windows_);
     }
 
     void
@@ -68,7 +66,6 @@ class BandwidthBalancer
         bypassing_ = r.getBool();
         last_rate_ = r.getF64();
         windows_ = r.getU64();
-        bypassed_windows_ = r.getU64();
     }
 
   private:
@@ -81,7 +78,6 @@ class BandwidthBalancer
     bool bypassing_ = false;
     double last_rate_ = 0.0;
     uint64_t windows_ = 0;
-    uint64_t bypassed_windows_ = 0;
 };
 
 } // namespace core

@@ -74,10 +74,9 @@ Core::tick(Tick now)
         return;
 
     // Fully stalled: ROB full behind an unready head.  The full logic
-    // below would do exactly this pair of increments and nothing else,
-    // so skip it until the head can retire (see stall_until_).
+    // below would do exactly this increment and nothing else, so skip
+    // it until the head can retire (see stall_until_).
     if (stall_until_ > now) {
-        ++retire_stalls_;
         ++rob_full_cycles_;
         return;
     }
@@ -97,8 +96,6 @@ Core::tick(Tick now)
             return;
         }
     }
-    if (retired_now == 0 && head_seq_ < tail_seq_)
-        ++retire_stalls_;
 
     // ---- Dispatch: up to `width` instructions into the ROB. ----
     uint32_t dispatched_now = 0;

@@ -97,9 +97,6 @@ class Core
     uint64_t loads() const { return loads_; }
     uint64_t stores() const { return stores_; }
 
-    /** Cycles in which nothing could retire (head not ready). */
-    uint64_t retireStallCycles() const { return retire_stalls_; }
-
     /** Cycles in which dispatch was blocked by a full ROB. */
     uint64_t robFullCycles() const { return rob_full_cycles_; }
 
@@ -126,17 +123,7 @@ class Core
     Tick stallUntil() const { return stall_until_; }
 
     /** Account @p n skipped fully-stalled cycles (see System::run). */
-    void
-    addStalledCycles(uint64_t n)
-    {
-        retire_stalls_ += n;
-        rob_full_cycles_ += n;
-    }
-
-    uint64_t instructionBudget() const
-    {
-        return params_.instruction_budget;
-    }
+    void addStalledCycles(uint64_t n) { rob_full_cycles_ += n; }
 
     /**
      * Extend (or shrink) the retire target.  The sampling run loop
@@ -195,7 +182,6 @@ class Core
     uint64_t dispatched_ = 0;
     uint64_t loads_ = 0;
     uint64_t stores_ = 0;
-    uint64_t retire_stalls_ = 0;
     uint64_t rob_full_cycles_ = 0;
     uint64_t mem_stall_cycles_ = 0;
     Tick finish_tick_ = 0;

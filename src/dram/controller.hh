@@ -133,7 +133,6 @@ class ChannelController
     Tick nextRefreshAt() const { return next_refresh_; }
     bool drainingWrites() const { return draining_writes_; }
     size_t numBanks() const { return banks_.size(); }
-    const Bank &bankAt(size_t i) const { return banks_[i]; }
     /** Snapshot of one queue in FIFO order; 0=read, 1=bg, 2=write. */
     std::vector<DecodedRequest> queueSnapshot(int which) const;
 

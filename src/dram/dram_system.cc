@@ -71,7 +71,6 @@ DramSystem::issue(DramRequest req, Tick now)
         traffic_.write[cls] += req.bytes;
     else
         traffic_.read[cls] += req.bytes;
-    ++issued_requests_;
 
     DecodedRequest dec;
     dec.bank = d.bank;
@@ -148,15 +147,6 @@ DramSystem::activations() const
 }
 
 uint64_t
-DramSystem::refreshes() const
-{
-    uint64_t s = 0;
-    for (const auto &ch : channels_)
-        s += ch->refreshes();
-    return s;
-}
-
-uint64_t
 DramSystem::bgPromotions() const
 {
     uint64_t s = 0;
@@ -219,12 +209,11 @@ DramSystem::energyJoules(Tick elapsed, double cpu_freq_hz) const
 double
 DramSystem::dynamicEnergyJoules() const
 {
-    EnergyMeter m;
-    // The meter is counter-based; replay aggregates rather than events.
-    m.recordActivations(activations());
-    m.recordTransfer(traffic_.totalRead(), false);
-    m.recordTransfer(traffic_.totalWrite(), true);
-    return m.dynamicJoules(params_);
+    const double act_j = static_cast<double>(activations()) *
+        params_.energy.act_pre_pj * 1e-12;
+    const double bits = static_cast<double>(traffic_.total()) * 8.0;
+    const double xfer_j = bits * params_.energy.pj_per_bit * 1e-12;
+    return act_j + xfer_j;
 }
 
 size_t

@@ -19,7 +19,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/controller.hh"
-#include "dram/energy.hh"
 #include "dram/request.hh"
 #include "dram/timing.hh"
 
@@ -136,7 +135,6 @@ class DramSystem
     uint64_t rowHits() const;
     uint64_t rowMisses() const;
     uint64_t activations() const;
-    uint64_t refreshes() const;
     uint64_t readsServed() const;
     uint64_t writesServed() const;
 
@@ -152,7 +150,8 @@ class DramSystem
     /** Total energy (dynamic + background) in joules. */
     double energyJoules(Tick elapsed, double cpu_freq_hz) const;
 
-    /** Dynamic-only energy in joules. */
+    /** Dynamic-only energy in joules: activations plus bits moved,
+     *  priced by the device's EnergyParams. */
     double dynamicEnergyJoules() const;
 
     /** Queue depth across channels (diagnostics / backpressure hints). */
@@ -179,8 +178,6 @@ class DramSystem
         return *channels_[i];
     }
 
-    size_t numChannels() const { return channels_.size(); }
-
   private:
     /** Slow path of tick(): scan every due channel in index order. */
     void scanDue(Tick now);
@@ -190,7 +187,6 @@ class DramSystem
     stats::Distribution read_delay_hist_;
     std::vector<std::unique_ptr<ChannelController>> channels_;
     TrafficBytes traffic_;
-    uint64_t issued_requests_ = 0;
     /** Minimum of the channels' wakeup registers (may run stale-early:
      *  scanDue() recomputes it; a too-low value only costs a no-op pass). */
     Tick next_scan_min_ = kTickNever;

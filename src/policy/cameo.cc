@@ -1,5 +1,7 @@
 #include "policy/cameo.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/serialize.hh"
 
@@ -29,11 +31,14 @@ CameoPolicy::CameoPolicy(PolicyEnv env, CameoParams params)
             fatal("cameo: LLP entries must be a power of two");
         llp_.assign(params_.llp_entries, 1);   // cold lines are in FM
     }
+    // Every congruence group starts as the identity permutation: write
+    // group 0, then double the filled prefix.
     perm_.resize(nm_blocks_ * members_);
-    for (uint64_t g = 0; g < nm_blocks_; ++g) {
-        for (uint32_t m = 0; m < members_; ++m)
-            perm_[g * members_ + m] = static_cast<uint8_t>(m);
-    }
+    for (uint32_t m = 0; m < members_; ++m)
+        perm_[m] = static_cast<uint8_t>(m);
+    for (size_t done = members_; done < perm_.size(); done *= 2)
+        std::copy_n(perm_.begin(), std::min(done, perm_.size() - done),
+                    perm_.begin() + static_cast<ptrdiff_t>(done));
 }
 
 uint64_t

@@ -281,7 +281,7 @@ SamplingController::run()
             fatal("sampling: functional warming hit the tick limit");
         BlobWriter w;
         warm.snapshotState(w);
-        blobs.push_back(w.data());
+        blobs.push_back(std::move(w).take());
     }
     // The stream past the last checkpoint feeds no replay window, so
     // executing it buys nothing measurable — skip it unless the

@@ -103,33 +103,47 @@ ParallelRunner::writeJson()
     ResultWriter writer(json_path_, opts_);
     for (const Job &job : recorded_)
         writer.add(job.get());
+    // Every job that submits a full-detail baseline has finished, so
+    // the map is complete; full-detail jobs never take the mutex.
+    std::lock_guard<std::mutex> lock(baseline_mutex_);
+    for (const auto &entry : full_baselines_)
+        writer.add(entry.second.get());
     writer.write();
     std::fprintf(stderr, "[parallel] wrote %zu runs to %s\n",
                  writer.runs(), json_path_.c_str());
 }
 
 ParallelRunner::Job
-ParallelRunner::submitJob(SystemConfig cfg, bool is_baseline)
+ParallelRunner::submitJob(SystemConfig cfg, bool is_baseline,
+                          bool full_detail)
 {
+    const bool sampled = sampling_ && !full_detail;
     if (!json_path_.empty() && !sampling_ && !cfg.telemetry.enabled) {
         // Every recorded full run embeds its epoch time series.
         cfg.telemetry.enabled = true;
         cfg.telemetry.epoch_ticks = opts_.epoch_ticks;
     }
     auto task = std::make_shared<std::packaged_task<SimResult()>>(
-        [this, cfg = std::move(cfg), is_baseline] {
+        [this, cfg = std::move(cfg), is_baseline, sampled] {
             logSetThreadTag(cfg.workload + "/" + cfg.scheme);
-            SimResult result = sampling_
+            SimResult result = sampled
                 ? sample::runMaybeSampled(cfg, *sampling_)
                 : System(cfg).run();
             logSetThreadTag("");
+            if (sampled && !result.sampling && !is_baseline) {
+                // Fell back to full detail: when this workload's
+                // speedups are wanted, start their denominator now.
+                std::lock_guard<std::mutex> lock(baseline_mutex_);
+                if (baselines_.count(cfg.workload) != 0)
+                    cachedBaseline(full_baselines_, cfg.workload, true);
+            }
             if (is_baseline)
                 baseline_runs_.fetch_add(1, std::memory_order_relaxed);
             jobs_completed_.fetch_add(1, std::memory_order_relaxed);
             return result;
         });
     Job job = task->get_future().share();
-    if (!json_path_.empty())
+    if (!json_path_.empty() && !full_detail)
         recorded_.push_back(job);
     pool_.submit([task] { (*task)(); });
     return job;
@@ -152,19 +166,33 @@ ParallelRunner::submitConfig(SystemConfig cfg)
 }
 
 ParallelRunner::Job
+ParallelRunner::cachedBaseline(std::map<std::string, Job> &cache,
+                               const std::string &workload,
+                               bool full_detail)
+{
+    auto [it, inserted] = cache.try_emplace(workload);
+    if (inserted) {
+        it->second = submitJob(
+            makeConfig(workload,
+                       policy::SchemeRegistry::instance().baselineName(),
+                       opts_),
+            true, full_detail);
+    }
+    return it->second;
+}
+
+ParallelRunner::Job
 ParallelRunner::baseline(const std::string &workload)
 {
     std::lock_guard<std::mutex> lock(baseline_mutex_);
-    auto it = baselines_.find(workload);
-    if (it != baselines_.end())
-        return it->second;
-    Job job = submitJob(
-        makeConfig(workload,
-                   policy::SchemeRegistry::instance().baselineName(),
-                   opts_),
-        true);
-    baselines_.emplace(workload, job);
-    return job;
+    return cachedBaseline(baselines_, workload, false);
+}
+
+ParallelRunner::Job
+ParallelRunner::fullBaseline(const std::string &workload)
+{
+    std::lock_guard<std::mutex> lock(baseline_mutex_);
+    return cachedBaseline(full_baselines_, workload, true);
 }
 
 Tick
@@ -176,8 +204,11 @@ ParallelRunner::baselineTicks(const std::string &workload)
 double
 ParallelRunner::speedup(const SimResult &result)
 {
-    const Tick base = baselineTicks(result.workload);
-    return static_cast<double>(base) / static_cast<double>(result.ticks);
+    const Job base = sampling_ && !result.sampling
+        ? fullBaseline(result.workload)
+        : baseline(result.workload);
+    return static_cast<double>(base.get().ticks) /
+        static_cast<double>(result.ticks);
 }
 
 double
@@ -225,6 +256,7 @@ Grid::print()
     const bool speedup = metric_ == Metric::Speedup;
     printTableHeader("bench", columns_);
     std::vector<std::vector<double>> per_column(columns_.size());
+    std::vector<bool> full_detail(columns_.size(), false);
     for (size_t w = 0; w < workloads_.size(); ++w) {
         std::vector<double> row;
         for (size_t c = 0; c < columns_.size(); ++c) {
@@ -232,6 +264,8 @@ Grid::print()
             row.push_back(speedup ? runner_.speedup(r)
                                   : r.nmDemandFraction());
             per_column[c].push_back(row.back());
+            if (runner_.sampling() && !r.sampling)
+                full_detail[c] = true;
         }
         printTableRow(workloads_[w], row);
         std::fflush(stdout);
@@ -247,6 +281,14 @@ Grid::print()
             : sum / static_cast<double>(col.size()));
     }
     printTableRow(speedup ? "geomean" : "average", aggregate);
+    std::string names;
+    for (size_t c = 0; c < columns_.size(); ++c) {
+        if (full_detail[c])
+            names += (names.empty() ? "" : ", ") + columns_[c];
+    }
+    if (speedup && !names.empty())
+        std::printf("full detail (cannot checkpoint), divided by a "
+                    "full-detail baseline: %s\n", names.c_str());
     return aggregate;
 }
 

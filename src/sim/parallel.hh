@@ -78,7 +78,9 @@ class ThreadPool
  * Runs simulations on a ThreadPool and hands results back through
  * futures, caching each workload's no-NM baseline so every speedup in
  * a bench shares one denominator (the paper's figure of merit:
- * baseline time / scheme time).
+ * baseline time / scheme time).  Under sampling, a job whose policy
+ * cannot checkpoint runs in full detail, and its speedup divides by a
+ * full-detail baseline cached the same way (see fullBaseline()).
  *
  * The no-NM baseline of each workload is resolved exactly once behind a
  * mutex-guarded future cache: the first requester submits the baseline
@@ -114,9 +116,6 @@ class ParallelRunner
      */
     void setJsonPath(std::string path);
 
-    /** The configured JSON output path ("" when disabled). */
-    const std::string &jsonPath() const { return json_path_; }
-
     /**
      * Run every subsequently submitted job through
      * sample::runMaybeSampled with @p scfg instead of System::run (the
@@ -125,6 +124,9 @@ class ParallelRunner
      * records no telemetry.  Call before the first submit.
      */
     void setSampling(sample::SamplingConfig scfg);
+
+    /** True once setSampling() was called. */
+    bool sampling() const { return sampling_.has_value(); }
 
     /**
      * Wait for all recorded jobs and write the JSON document now.
@@ -149,10 +151,18 @@ class ParallelRunner
      */
     Job baseline(const std::string &workload);
 
+    /**
+     * Like baseline(), but never sampled.  A sampled job that fell back
+     * to full detail submits it early if baseline() was requested for
+     * its workload.  The JSON document lists it after the other jobs.
+     */
+    Job fullBaseline(const std::string &workload);
+
     /** Execution ticks of the no-NM baseline (blocks until ready). */
     Tick baselineTicks(const std::string &workload);
 
-    /** Speedup of @p result against its workload's no-NM baseline. */
+    /** Speedup of @p result against its workload's no-NM baseline
+     *  (fullBaseline() when @p result fell back to full detail). */
     double speedup(const SimResult &result);
 
     /** Simulations finished so far (including baselines). */
@@ -178,7 +188,15 @@ class ParallelRunner
     void printFooter(std::FILE *out = stderr) const;
 
   private:
-    Job submitJob(SystemConfig cfg, bool is_baseline);
+    /** @p full_detail bypasses sampling and the JSON record, since
+     *  workers submit such jobs (see fullBaseline()). */
+    Job submitJob(SystemConfig cfg, bool is_baseline,
+                  bool full_detail = false);
+
+    /** The baseline job of @p workload in @p cache, submitted on first
+     *  request.  Caller holds baseline_mutex_. */
+    Job cachedBaseline(std::map<std::string, Job> &cache,
+                       const std::string &workload, bool full_detail);
 
     ExperimentOptions opts_;
     std::chrono::steady_clock::time_point start_;
@@ -192,6 +210,7 @@ class ParallelRunner
 
     std::mutex baseline_mutex_;
     std::map<std::string, Job> baselines_;
+    std::map<std::string, Job> full_baselines_;
 
     std::atomic<uint64_t> jobs_completed_{0};
     std::atomic<uint64_t> baseline_runs_{0};
@@ -231,7 +250,9 @@ class Grid
 
     /**
      * Print the header, one row per workload, the rule and the aggregate
-     * row to stdout; returns the aggregate row.  Blocks on the jobs.
+     * row to stdout; returns the aggregate row.  Blocks on the jobs.  A
+     * sampled speedup grid then names the columns that ran in full
+     * detail (see ParallelRunner::speedup()).
      */
     std::vector<double> print();
 

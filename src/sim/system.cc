@@ -22,11 +22,6 @@ SystemConfig::defaults()
 {
     SystemConfig cfg;
 
-    cfg.l1i.name = "l1i";
-    cfg.l1i.size_bytes = 64 * 1024;
-    cfg.l1i.associativity = 2;
-    cfg.l1i.latency_cycles = 4;
-
     cfg.l1d.name = "l1d";
     cfg.l1d.size_bytes = 16 * 1024;
     cfg.l1d.associativity = 4;
@@ -126,49 +121,25 @@ makePolicy(const SystemConfig &cfg, policy::PolicyEnv env)
 
 MemoryHierarchy::MemoryHierarchy(const SystemConfig &cfg,
                                  Translation &translation,
-                                 policy::FlatMemoryPolicy &policy,
-                                 EventQueue &events)
+                                 policy::FlatMemoryPolicy &policy)
     : cfg_(cfg),
       translation_(translation),
       policy_(policy),
-      events_(events),
       l2_(cfg.l2),
       mshr_(cfg.mshr_entries, cfg.mshr_per_core)
 {
-    l1i_.reserve(cfg.cores);
     l1d_.reserve(cfg.cores);
     for (uint32_t c = 0; c < cfg.cores; ++c) {
-        cache::CacheParams pi = cfg.l1i;
         cache::CacheParams pd = cfg.l1d;
-        pi.name = "l1i" + std::to_string(c);
         pd.name = "l1d" + std::to_string(c);
-        l1i_.emplace_back(pi);
         l1d_.emplace_back(pd);
     }
-    last_iline_.assign(cfg.cores, kAddrInvalid);
-    llc_misses_.assign(cfg.cores, 0);
-}
-
-uint64_t
-MemoryHierarchy::l1dAccesses() const
-{
-    uint64_t n = 0;
-    for (const auto &c : l1d_)
-        n += c.hits() + c.misses();
-    return n;
 }
 
 bool
 MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
                         std::function<void(Tick)> done, Tick now)
 {
-    // Instruction side: functional, virtually addressed, per 64B line.
-    const Addr iline = subblockAddr(pc);
-    if (iline != last_iline_[core]) {
-        last_iline_[core] = iline;
-        l1i_[core].access(iline, false);
-    }
-
     const Addr paddr = translation_.translate(core, vaddr);
     cache::Cache &l1 = l1d_[core];
 
@@ -194,7 +165,6 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
             // the standard functional-warming approximation: with no
             // outstanding misses every access resolves against
             // up-to-date cache and metadata state.
-            ++llc_misses_[core];
             ++llc_misses_total_;
             policy_.demandAccess(block, is_write, core, pc, nullptr,
                                  now);
@@ -235,7 +205,6 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
         if (alloc == cache::MshrAllocation::NoCapacity)
             return false;
 
-        ++llc_misses_[core];
         ++llc_misses_total_;
 
         if (alloc == cache::MshrAllocation::Primary) {
@@ -272,15 +241,9 @@ void
 MemoryHierarchy::snapshot(BlobWriter &w) const
 {
     w.putU32(static_cast<uint32_t>(l1d_.size()));
-    for (size_t c = 0; c < l1d_.size(); ++c) {
-        l1i_[c].snapshot(w);
-        l1d_[c].snapshot(w);
-    }
+    for (const cache::Cache &l1 : l1d_)
+        l1.snapshot(w);
     l2_.snapshot(w);
-    for (Addr a : last_iline_)
-        w.putU64(a);
-    for (uint64_t m : llc_misses_)
-        w.putU64(m);
     w.putU64(llc_misses_total_);
     w.putF64(miss_latency_sum_);
     w.putU64(misses_completed_);
@@ -293,15 +256,9 @@ MemoryHierarchy::restore(BlobReader &r)
     if (cores != l1d_.size())
         fatal("hierarchy checkpoint core count %u != configured %zu",
               cores, l1d_.size());
-    for (size_t c = 0; c < l1d_.size(); ++c) {
-        l1i_[c].restore(r);
-        l1d_[c].restore(r);
-    }
+    for (cache::Cache &l1 : l1d_)
+        l1.restore(r);
     l2_.restore(r);
-    for (Addr &a : last_iline_)
-        a = r.getU64();
-    for (uint64_t &m : llc_misses_)
-        m = r.getU64();
     llc_misses_total_ = r.getU64();
     miss_latency_sum_ = r.getF64();
     misses_completed_ = r.getU64();
@@ -332,8 +289,8 @@ System::System(SystemConfig cfg)
     translation_ = std::make_unique<Translation>(
         policy_->flatSpaceBytes(), cfg_.seed);
 
-    hierarchy_ = std::make_unique<MemoryHierarchy>(cfg_, *translation_,
-                                                   *policy_, events_);
+    hierarchy_ =
+        std::make_unique<MemoryHierarchy>(cfg_, *translation_, *policy_);
 
     cpu::CoreParams core_params = cfg_.core_params;
     core_params.instruction_budget = cfg_.instructions_per_core;

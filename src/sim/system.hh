@@ -85,7 +85,6 @@ struct SystemConfig
     /** Extra ticks between LLC fill and dependent wakeup. */
     uint32_t fill_latency = 2;
 
-    cache::CacheParams l1i;
     cache::CacheParams l1d;
     cache::CacheParams l2;
 
@@ -269,7 +268,7 @@ class MemoryHierarchy : public cpu::MemoryPort
 {
   public:
     MemoryHierarchy(const SystemConfig &cfg, Translation &translation,
-                    policy::FlatMemoryPolicy &policy, EventQueue &events);
+                    policy::FlatMemoryPolicy &policy);
 
     bool access(CoreId core, Addr vaddr, Addr pc, bool is_write,
                 std::function<void(Tick)> done, Tick now) override;
@@ -284,11 +283,6 @@ class MemoryHierarchy : public cpu::MemoryPort
             ? 0.0
             : miss_latency_sum_ / static_cast<double>(misses_completed_);
     }
-    uint64_t llcMissesFor(CoreId core) const
-    {
-        return llc_misses_[core];
-    }
-    uint64_t l1dAccesses() const;
 
     /** Cumulative LLC miss latency (ticks) and completed-miss count —
      *  the sampling layer differences these across window edges. */
@@ -308,7 +302,6 @@ class MemoryHierarchy : public cpu::MemoryPort
     void restore(BlobReader &r);
 
     const cache::Cache &l1d(CoreId core) const { return l1d_[core]; }
-    const cache::Cache &l1i(CoreId core) const { return l1i_[core]; }
     const cache::Cache &l2() const { return l2_; }
     const cache::MshrFile &mshrs() const { return mshr_; }
 
@@ -316,15 +309,11 @@ class MemoryHierarchy : public cpu::MemoryPort
     const SystemConfig &cfg_;
     Translation &translation_;
     policy::FlatMemoryPolicy &policy_;
-    EventQueue &events_;
 
-    std::vector<cache::Cache> l1i_;
     std::vector<cache::Cache> l1d_;
     cache::Cache l2_;
     cache::MshrFile mshr_;
 
-    std::vector<Addr> last_iline_;
-    std::vector<uint64_t> llc_misses_;
     uint64_t llc_misses_total_ = 0;
     double miss_latency_sum_ = 0.0;
     uint64_t misses_completed_ = 0;

@@ -6,9 +6,10 @@ namespace silc {
 namespace telemetry {
 
 Recorder::Recorder(const TelemetryConfig &cfg, std::string run_id)
-    : cfg_(cfg), sampler_(cfg.epoch_ticks),
-      series_(std::make_shared<TimeSeries>())
+    : cfg_(cfg), series_(std::make_shared<TimeSeries>())
 {
+    if (cfg_.epoch_ticks == 0)
+        fatal("telemetry: epoch length must be positive");
     series_->header.run_id = std::move(run_id);
     series_->header.epoch_ticks = cfg_.epoch_ticks;
 }

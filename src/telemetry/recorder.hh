@@ -66,8 +66,6 @@ class Recorder
     /** The recorded series; fully populated once finish() ran. */
     std::shared_ptr<const TimeSeries> series() const { return series_; }
 
-    uint64_t epochsRecorded() const { return sampler_.epochsSampled(); }
-
   private:
     void onEpoch(Tick now);
     void record(Tick now);

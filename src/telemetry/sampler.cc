@@ -5,13 +5,6 @@
 namespace silc {
 namespace telemetry {
 
-Sampler::Sampler(Tick epoch_ticks)
-    : epoch_ticks_(epoch_ticks)
-{
-    if (epoch_ticks_ == 0)
-        fatal("telemetry: epoch length must be positive");
-}
-
 void
 Sampler::add(std::string name, Kind kind, ReadFn read, ReadFn read_den)
 {

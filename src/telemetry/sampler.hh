@@ -38,9 +38,6 @@ class Sampler
     /** Reads one probe value; must stay valid for the Sampler's life. */
     using ReadFn = std::function<double()>;
 
-    /** @param epoch_ticks nominal sampling period (must be > 0). */
-    explicit Sampler(Tick epoch_ticks);
-
     /** Raw value at sample time. */
     void addGauge(std::string name, ReadFn read);
 
@@ -66,10 +63,6 @@ class Sampler
 
     /** Probe names in registration order. */
     const std::vector<std::string> &names() const { return names_; }
-
-    size_t probeCount() const { return probes_.size(); }
-
-    Tick epochTicks() const { return epoch_ticks_; }
 
     /** Tick of the previous sample (0 before the first). */
     Tick lastSampleTick() const { return last_tick_; }
@@ -98,7 +91,6 @@ class Sampler
     void add(std::string name, Kind kind, ReadFn read,
              ReadFn read_den = nullptr);
 
-    Tick epoch_ticks_;
     Tick last_tick_ = 0;
     uint64_t epochs_ = 0;
     std::vector<std::string> names_;

@@ -74,7 +74,6 @@ class TenantMixSource final : public TraceSource
     // ---- Per-tenant telemetry (the tenant-sweep bench reads these). --
 
     uint32_t tenants() const { return params_.tenants; }
-    bool tenantActive(uint32_t t) const { return active_[t] != 0; }
     uint64_t tenantInstructions(uint32_t t) const { return instrs_[t]; }
     uint64_t tenantMemOps(uint32_t t) const { return mem_ops_[t]; }
 

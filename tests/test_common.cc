@@ -153,50 +153,6 @@ TEST(EventQueue, CountsExecuted)
     EXPECT_EQ(q.executed(), 4u);
 }
 
-TEST(EventQueue, CancelledEventDoesNotFire)
-{
-    EventQueue q;
-    int fired = 0;
-    const EventId id =
-        q.scheduleCancellable(10, [&](Tick) { ++fired; });
-    q.schedule(10, [&](Tick) { fired += 100; });
-    q.cancel(id);
-    q.runDue(20);
-    EXPECT_EQ(fired, 100);   // only the uncancelled event ran
-    EXPECT_EQ(q.executed(), 1u);
-    EXPECT_EQ(q.cancelled(), 1u);
-}
-
-TEST(EventQueue, CancelThenRearmLater)
-{
-    // The cancel/re-arm pattern a wakeup consumer uses: drop the stale
-    // deadline, schedule the corrected one.
-    EventQueue q;
-    std::vector<Tick> fires;
-    const EventId stale =
-        q.scheduleCancellable(50, [&](Tick t) { fires.push_back(t); });
-    q.cancel(stale);
-    q.scheduleCancellable(30, [&](Tick t) { fires.push_back(t); });
-    q.runDue(100);
-    EXPECT_EQ(fires, (std::vector<Tick>{30}));
-}
-
-TEST(EventQueue, CancelledTombstonesDoNotBlockLaterEvents)
-{
-    EventQueue q;
-    int fired = 0;
-    for (int i = 0; i < 8; ++i) {
-        const EventId id =
-            q.scheduleCancellable(5, [&](Tick) { fired += 1000; });
-        q.cancel(id);
-    }
-    q.schedule(6, [&](Tick) { ++fired; });
-    q.runDue(10);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.cancelled(), 8u);
-    EXPECT_TRUE(q.empty());
-}
-
 // ---- small function ------------------------------------------------------
 
 TEST(SmallFunction, InvokesAndReportsInlineStorage)

@@ -15,7 +15,6 @@
 #include "dram/bank.hh"
 #include "dram/controller.hh"
 #include "dram/dram_system.hh"
-#include "dram/energy.hh"
 #include "dram/timing.hh"
 
 using namespace silc;
@@ -239,6 +238,27 @@ runRead(DramSystem &sys, EventQueue &events, Addr addr, Tick start)
     return completed;
 }
 
+/** Issue @p lines 64B requests at tick @p start and run @p sys until it
+ *  is idle; returns the first idle tick. */
+Tick
+moveLines(DramSystem &sys, EventQueue &events, uint32_t lines,
+          bool is_write, Tick start)
+{
+    for (uint32_t i = 0; i < lines; ++i) {
+        DramRequest req;
+        req.addr = static_cast<Addr>(i) * 64;
+        req.is_write = is_write;
+        sys.issue(std::move(req), start);
+    }
+    Tick t = start;
+    for (; t < start + 500'000 && !sys.idle(); ++t) {
+        sys.tick(t);
+        events.runDue(t);
+    }
+    EXPECT_TRUE(sys.idle());
+    return t;
+}
+
 } // namespace
 
 TEST(DramSystem, ReadCompletesWithPlausibleLatency)
@@ -396,16 +416,7 @@ TEST(DramSystem, BusUtilizationBounded)
 {
     EventQueue events;
     DramSystem sys(simpleParams(), 16_MiB, events);
-    for (int i = 0; i < 100; ++i) {
-        DramRequest req;
-        req.addr = static_cast<Addr>(i) * 64;
-        sys.issue(std::move(req), 0);
-    }
-    Tick t = 0;
-    for (; t < 500'000 && !sys.idle(); ++t) {
-        sys.tick(t);
-        events.runDue(t);
-    }
+    const Tick t = moveLines(sys, events, 100, false, 0);
     const double util = sys.busUtilization(t);
     EXPECT_GT(util, 0.0);
     EXPECT_LE(util, 1.0);
@@ -415,22 +426,21 @@ TEST(DramSystem, BusUtilizationBounded)
 
 TEST(Energy, DynamicScalesWithTraffic)
 {
-    DramTimingParams p = ddr3Params();
-    EnergyMeter m;
-    m.recordActivations(10);
-    m.recordTransfer(6400, false);
-    const double base = m.dynamicJoules(p);
+    EventQueue events;
+    DramSystem sys(simpleParams(), 16_MiB, events);
+    const Tick t = moveLines(sys, events, 100, false, 0);
+    const double base = sys.dynamicEnergyJoules();
     EXPECT_GT(base, 0.0);
-    m.recordTransfer(6400, true);
-    EXPECT_GT(m.dynamicJoules(p), base);
+    moveLines(sys, events, 100, true, t);
+    EXPECT_GT(sys.dynamicEnergyJoules(), base);
 }
 
 TEST(Energy, BackgroundScalesWithTime)
 {
-    DramTimingParams p = ddr3Params();
-    EnergyMeter m;
-    const double e1 = m.totalJoules(p, 3'200'000, 3.2e9);   // 1 ms
-    const double e2 = m.totalJoules(p, 6'400'000, 3.2e9);   // 2 ms
+    EventQueue events;
+    DramSystem sys(simpleParams(), 16_MiB, events);
+    const double e1 = sys.energyJoules(3'200'000, 3.2e9);   // 1 ms
+    const double e2 = sys.energyJoules(6'400'000, 3.2e9);   // 2 ms
     EXPECT_NEAR(e2, 2.0 * e1, 1e-12);
 }
 
@@ -438,15 +448,16 @@ TEST(Energy, NmCheaperPerBitThanFm)
 {
     // The premise of the paper's EDP result: die-stacked DRAM moves
     // bits much more cheaply than off-chip DDR.
-    DramTimingParams hbm = hbm2Params();
-    DramTimingParams ddr = ddr3Params();
-    EnergyMeter a, b;
-    a.recordTransfer(1'000'000, false);
-    b.recordTransfer(1'000'000, false);
-    EXPECT_LT(a.dynamicJoules(hbm), b.dynamicJoules(ddr));
+    EventQueue nm_events, fm_events;
+    DramSystem nm(hbm2Params(), 16_MiB, nm_events);
+    DramSystem fm(ddr3Params(), 16_MiB, fm_events);
+    moveLines(nm, nm_events, 256, false, 0);
+    moveLines(fm, fm_events, 256, false, 0);
+    EXPECT_EQ(nm.traffic().total(), fm.traffic().total());
+    EXPECT_LT(nm.dynamicEnergyJoules(), fm.dynamicEnergyJoules());
 }
 
-TEST(Energy, SystemEnergyMatchesMeter)
+TEST(Energy, TotalAddsBackgroundToDynamic)
 {
     EventQueue events;
     DramSystem sys(simpleParams(), 16_MiB, events);

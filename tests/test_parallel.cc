@@ -174,6 +174,58 @@ TEST(ParallelRunnerTest, BaselineComputedExactlyOnce)
     EXPECT_EQ(runner.baselineRuns(), 1u);
 }
 
+TEST(ParallelRunnerTest, SampledFullDetailJobDividesByFullBaseline)
+{
+    // HMA cannot checkpoint, so under sampling it runs in full detail;
+    // its speedup must divide by a full-detail baseline, not by the
+    // sampled one the other schemes share.
+    const ExperimentOptions opts = tinyOptions();
+    ParallelRunner runner(opts, 2);
+    sample::SamplingConfig scfg;
+    scfg.period = 5'000;
+    scfg.window = 1'000;
+    scfg.warmup = 1'000;
+    runner.setSampling(scfg);
+
+    const Tick sampled_base = runner.baselineTicks("mcf");
+    const SimResult r = runner.submit("mcf", "hma").get();
+    ASSERT_FALSE(r.sampling);
+    const SimResult full_base =
+        System(makeConfig("mcf", "fmonly", opts)).run();
+    ASSERT_NE(full_base.ticks, sampled_base);
+    EXPECT_DOUBLE_EQ(runner.speedup(r),
+                     static_cast<double>(full_base.ticks) /
+                         static_cast<double>(r.ticks));
+    EXPECT_EQ(runner.fullBaseline("mcf").get().ticks, full_base.ticks);
+    // One sampled and one full-detail baseline, each run once.
+    EXPECT_EQ(runner.baselineRuns(), 2u);
+}
+
+TEST(GridTest, SampledSpeedupGridNamesFullDetailColumns)
+{
+    const ExperimentOptions opts = tinyOptions();
+    const std::vector<std::string> schemes = {"hma", "silcfm"};
+    ParallelRunner runner(opts, 2);
+    sample::SamplingConfig scfg;
+    scfg.period = 5'000;
+    scfg.window = 1'000;
+    scfg.warmup = 1'000;
+    runner.setSampling(scfg);
+
+    testing::internal::CaptureStdout();
+    Grid(runner, {"mcf"}, schemes,
+         [&](const std::string &workload, size_t col) {
+             return makeConfig(workload, schemes[col], opts);
+         })
+        .print();
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("full detail (cannot checkpoint), divided by a "
+                       "full-detail baseline: hma\n"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(runner.baselineRuns(), 2u);
+}
+
 TEST(ParallelRunnerTest, LogThreadTagRoundTrips)
 {
     logSetThreadTag("unit/test");

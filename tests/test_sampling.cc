@@ -51,7 +51,7 @@ snapshotBlob(const System &sys)
 {
     BlobWriter w;
     sys.snapshotState(w);
-    return w.data();
+    return std::move(w).take();
 }
 
 } // namespace
@@ -81,6 +81,17 @@ TEST(Serialize, RoundTrip)
     EXPECT_EQ(r.getStr(), "hello");
     r.done();
     EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(Serialize, TakeMovesTheBufferOut)
+{
+    BlobWriter w;
+    w.section("TEST");
+    w.putU64(0x0123456789ABCDEFull);
+    const std::vector<uint8_t> copy = w.data();
+    const std::vector<uint8_t> taken = std::move(w).take();
+    EXPECT_EQ(taken, copy);
+    EXPECT_EQ(w.size(), 0u);
 }
 
 TEST(SerializeDeath, TruncationDies)

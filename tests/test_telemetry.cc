@@ -60,7 +60,7 @@ TEST(TelemetryJson, DoubleFormattingIsShortRoundTrip)
 TEST(Sampler, GaugeReadsRawValueEachEpoch)
 {
     double live = 3.0;
-    Sampler s(100);
+    Sampler s;
     s.addGauge("g", [&] { return live; });
 
     EXPECT_EQ(s.sample(100).values[0], 3.0);
@@ -71,7 +71,7 @@ TEST(Sampler, GaugeReadsRawValueEachEpoch)
 TEST(Sampler, CounterDerivesPerEpochDeltas)
 {
     uint64_t count = 0;
-    Sampler s(100);
+    Sampler s;
     s.addCounter("c", [&] { return static_cast<double>(count); });
 
     count = 10;
@@ -85,7 +85,7 @@ TEST(Sampler, CounterDerivesPerEpochDeltas)
 TEST(Sampler, RateDividesDeltaByElapsedTicks)
 {
     uint64_t retired = 0;
-    Sampler s(100);
+    Sampler s;
     s.addRate("ipc", [&] { return static_cast<double>(retired); });
 
     retired = 50;
@@ -103,7 +103,7 @@ TEST(Sampler, RateDividesDeltaByElapsedTicks)
 TEST(Sampler, RatioUsesDeltasOfBothCounters)
 {
     uint64_t hits = 0, total = 0;
-    Sampler s(100);
+    Sampler s;
     s.addRatio("hitRate", [&] { return static_cast<double>(hits); },
                [&] { return static_cast<double>(total); });
 
@@ -123,7 +123,7 @@ TEST(Sampler, RatioUsesDeltasOfBothCounters)
 
 TEST(Sampler, EpochRecordsCarryIndexTickAndElapsed)
 {
-    Sampler s(100);
+    Sampler s;
     s.addGauge("g", [] { return 0.0; });
 
     EpochRecord r0 = s.sample(100);
@@ -138,7 +138,7 @@ TEST(Sampler, EpochRecordsCarryIndexTickAndElapsed)
 
 TEST(SamplerDeath, DuplicateProbeNamePanics)
 {
-    Sampler s(100);
+    Sampler s;
     s.addGauge("dup", [] { return 0.0; });
     EXPECT_DEATH(s.addGauge("dup", [] { return 0.0; }), "dup");
 }
@@ -176,7 +176,7 @@ TEST(DistributionPercentile, EdgeCases)
 TEST(Sampler, DistributionRegistersPercentileGauges)
 {
     stats::Distribution d(0.0, 100.0, 100);
-    Sampler s(100);
+    Sampler s;
     s.addDistribution("lat", d);
     ASSERT_EQ(s.names().size(), 3u);
     EXPECT_EQ(s.names()[0], "lat.p50");
