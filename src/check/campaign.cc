@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "check/differential.hh"
-#include "check/shadow.hh"
+#include "check/oracle.hh"
 #include "common/event_queue.hh"
 #include "common/rng.hh"
 #include "dram/dram_system.hh"
@@ -140,17 +139,10 @@ runCampaignTrace(const CampaignConfig &cfg,
     std::unique_ptr<policy::FlatMemoryPolicy> policy =
         scheme.factory(cfg.schemes, env);
 
-    // Tier 1: the shadow-data invariant checker shadows every scheme.
-    ShadowChecker shadow(*policy);
-    policy->setAccessObserver(&shadow);
-
-    // Tier 2: metadata lockstep where the scheme has a reference model.
-    std::unique_ptr<DifferentialChecker> checker;
-    if (scheme.traits.has_reference_oracle) {
-        auto &silc_policy = static_cast<core::SilcFmPolicy &>(*policy);
-        checker = std::make_unique<DifferentialChecker>(silc_policy);
-        silc_policy.setObserver(checker.get());
-    }
+    const Oracle oracle = attachOracle(
+        *policy, scheme.traits.has_reference_oracle, false);
+    ShadowChecker &shadow = *oracle.shadow;
+    DifferentialChecker *checker = oracle.differential.get();
 
     // The generators emit addresses across the full NM+FM span; fold
     // them into this scheme's flat space (cache-like schemes expose

@@ -1,8 +1,8 @@
 /**
  * @file
  * The differential oracle: runs a ReferenceModel in lockstep with a
- * live SilcFmPolicy (via the SilcFmObserver hook) and cross-checks,
- * after every demand access,
+ * live SilcFmPolicy (as one of its policy::AccessObservers) and
+ * cross-checks, after every demand access,
  *
  *  - where the access was serviced from (NM frame/way vs. FM home),
  *  - the post-access residence of the touched subblock (locate()),
@@ -35,7 +35,7 @@
 namespace silc {
 namespace check {
 
-class DifferentialChecker final : public core::SilcFmObserver
+class DifferentialChecker final : public policy::AccessObserver
 {
   public:
     struct Options
@@ -48,7 +48,7 @@ class DifferentialChecker final : public core::SilcFmObserver
 
     /**
      * @param policy the live policy to shadow; the caller must also
-     *               register this checker via policy.setObserver()
+     *               attach this checker via policy.addAccessObserver()
      */
     explicit DifferentialChecker(const core::SilcFmPolicy &policy);
     DifferentialChecker(const core::SilcFmPolicy &policy, Options opts);
@@ -56,6 +56,16 @@ class DifferentialChecker final : public core::SilcFmObserver
     void onDemandResolved(Addr paddr, bool is_write, CoreId core,
                           Addr pc,
                           const policy::Location &serviced) override;
+    /** Data movement is the shadow tier's concern: the reference model
+     *  is driven by demand resolutions alone. */
+    void onBlockCopied(const policy::Location &,
+                       const policy::Location &) override
+    {
+    }
+    void onBlocksSwapped(const policy::Location &,
+                         const policy::Location &) override
+    {
+    }
 
     /** A divergence has been observed (first one is kept). */
     bool failed() const { return failed_; }

@@ -62,7 +62,7 @@ class ShadowChecker final : public policy::AccessObserver
 
     /**
      * @param policy the live policy to shadow; the caller must also
-     *               attach this checker via policy.setAccessObserver()
+     *               attach this checker via policy.addAccessObserver()
      */
     explicit ShadowChecker(const policy::FlatMemoryPolicy &policy);
     ShadowChecker(const policy::FlatMemoryPolicy &policy, Options opts);

@@ -467,8 +467,6 @@ SilcFmPolicy::demandAccess(Addr paddr, bool is_write, CoreId core,
 
     issueDemandTimed(res, set, pc, sub_addr, core, std::move(done), now);
 
-    if (observer_ != nullptr)
-        observer_->onDemandResolved(paddr, is_write, core, pc, res.loc);
     notifyDemand(paddr, is_write, core, pc, res.loc);
 }
 

@@ -98,29 +98,6 @@ struct SilcFmParams
     uint32_t metadata_bytes = 8;
 };
 
-/**
- * Observes every demand access after its functional resolution, with
- * the policy's metadata already in its post-access state.  The
- * differential oracle (src/check/) implements this to drive an untimed
- * reference model in lockstep with the timed policy.
- */
-class SilcFmObserver
-{
-  public:
-    virtual ~SilcFmObserver() = default;
-
-    /**
-     * @param paddr    flat physical address of the demand (64B aligned)
-     * @param is_write the miss was triggered by a store
-     * @param core     requesting core
-     * @param pc       program counter of the triggering instruction
-     * @param serviced where the critical data was serviced from
-     */
-    virtual void onDemandResolved(Addr paddr, bool is_write, CoreId core,
-                                  Addr pc,
-                                  const policy::Location &serviced) = 0;
-};
-
 /** The SILC-FM flat-memory policy. */
 class SilcFmPolicy : public policy::FlatMemoryPolicy
 {
@@ -165,14 +142,6 @@ class SilcFmPolicy : public policy::FlatMemoryPolicy
      * consistency).  panic()s on violation; returns true otherwise.
      */
     bool verifyIntegrity() const;
-
-    /**
-     * Attach (or detach, with nullptr) a lockstep observer.  Called at
-     * the end of every demandAccess with the post-access state; the
-     * policy does not own the observer, which must outlive it or be
-     * detached first.
-     */
-    void setObserver(SilcFmObserver *observer) { observer_ = observer; }
 
     /**
      * Mutable metadata handle for the injected-fault self-tests of the
@@ -272,8 +241,6 @@ class SilcFmPolicy : public policy::FlatMemoryPolicy
     BandwidthBalancer balancer_;
     AgingCounterOps counter_ops_;
     AgingSchedule aging_;
-
-    SilcFmObserver *observer_ = nullptr;
 
     uint64_t swaps_ = 0;
     uint64_t restores_ = 0;

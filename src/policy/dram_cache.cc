@@ -6,44 +6,42 @@
 namespace silc {
 namespace policy {
 
-DramCachePolicy::DramCachePolicy(PolicyEnv env, DramCacheParams params)
-    : DramCachePolicy(env, params,
-                      env.nm != nullptr
-                          ? env.nm->capacity() / kSubblockSize
-                          : 0)
+uint64_t
+memCacheStaticBytes(const PolicyEnv &env, const MemCacheParams &p)
 {
+    if (env.nm == nullptr)
+        fatal("memcache: near memory required");
+    if (p.mem_percent >= 100)
+        fatal("memcache: mem_percent must be below 100 (use a flat "
+              "scheme for all-memory NM), got %u", p.mem_percent);
+    const uint64_t nm = env.nm->capacity();
+    uint64_t bytes = nm / 100 * p.mem_percent;
+    bytes -= bytes % kLargeBlockSize;
+    if (bytes >= nm)
+        fatal("memcache: static region swallows all of NM");
+    return bytes;
 }
 
-DramCachePolicy::DramCachePolicy(PolicyEnv env, DramCacheParams params,
-                                 uint64_t slots)
-    : FlatMemoryPolicy(env), params_(params), dir_(slots, params.ways)
+DramCachePolicy::DramCachePolicy(PolicyEnv env,
+                                 const DramCacheParams &params,
+                                 uint64_t static_bytes, const char *name)
+    : FlatMemoryPolicy(env), name_(name), params_(params),
+      static_bytes_(static_bytes),
+      dir_(env.nm != nullptr
+               ? (env.nm->capacity() - static_bytes) / kSubblockSize
+               : 0,
+           params.ways)
 {
     silc_assert(env_.nm != nullptr);
+    silc_assert(static_bytes_ % kSubblockSize == 0 &&
+                static_bytes_ < env_.nm->capacity());
 }
 
 uint64_t
 DramCachePolicy::flatSpaceBytes() const
 {
-    // NM is a cache, not memory: the OS sees FM alone.
-    return env_.fm->capacity();
-}
-
-Location
-DramCachePolicy::fmHome(uint64_t block) const
-{
-    return Location{false, block * kSubblockSize};
-}
-
-Addr
-DramCachePolicy::slotAddr(uint64_t slot) const
-{
-    return slot * kSubblockSize;
-}
-
-uint64_t
-DramCachePolicy::cachedBlockOf(Addr sub) const
-{
-    return sub >> kSubblockBits;
+    // Only the static region of NM is memory; the cache adds none.
+    return static_bytes_ + env_.fm->capacity();
 }
 
 Location
@@ -51,10 +49,13 @@ DramCachePolicy::locate(Addr paddr) const
 {
     silc_assert(paddr < flatSpaceBytes());
     const Addr sub = subblockAddr(paddr);
-    const uint64_t slot = dir_.lookup(sub >> kSubblockBits);
+    if (sub < static_bytes_)
+        return Location{true, sub};
+    const uint64_t block = cachedBlockOf(sub);
+    const uint64_t slot = dir_.lookup(block);
     if (slot != BlockCacheDir::kNoSlot)
         return Location{true, slotAddr(slot)};
-    return Location{false, sub};
+    return fmHome(block);
 }
 
 void
@@ -83,12 +84,24 @@ DramCachePolicy::fillBlock(uint64_t block, const Location &from,
 }
 
 void
-DramCachePolicy::cacheDemand(uint64_t block, Addr paddr, bool is_write,
-                             CoreId core, Addr pc, DemandCallback done,
-                             Tick now)
+DramCachePolicy::demandAccess(Addr paddr, bool is_write, CoreId core,
+                              Addr pc, DemandCallback done, Tick now)
 {
+    const Addr sub = subblockAddr(paddr);
+    if (sub < static_bytes_) {
+        // Static region: plain NM memory, no tags, no fills.
+        recordService(true);
+        const Location loc{true, sub};
+        issueRead(*env_.nm, loc.device_addr,
+                  static_cast<uint32_t>(kSubblockSize),
+                  dram::TrafficClass::Demand, core, std::move(done), now);
+        notifyDemand(paddr, is_write, core, pc, loc);
+        return;
+    }
+
     const uint32_t burst =
         static_cast<uint32_t>(kSubblockSize) + params_.tag_bytes;
+    const uint64_t block = cachedBlockOf(sub);
     const uint64_t slot = dir_.lookup(block);
 
     if (slot != BlockCacheDir::kNoSlot) {
@@ -119,22 +132,13 @@ DramCachePolicy::cacheDemand(uint64_t block, Addr paddr, bool is_write,
 }
 
 void
-DramCachePolicy::demandAccess(Addr paddr, bool is_write, CoreId core,
-                              Addr pc, DemandCallback done, Tick now)
-{
-    const Addr sub = subblockAddr(paddr);
-    cacheDemand(cachedBlockOf(sub), paddr, is_write, core, pc,
-                std::move(done), now);
-}
-
-void
 DramCachePolicy::writeback(Addr paddr, CoreId core, Tick now)
 {
     // An LLC dirty eviction landing in the cache makes the slot dirty;
     // its line must survive the next NM eviction.
-    const uint64_t block = cachedBlockOf(subblockAddr(paddr));
-    if (block != BlockCacheDir::kNoBlock) {
-        const uint64_t slot = dir_.lookup(block);
+    const Addr sub = subblockAddr(paddr);
+    if (sub >= static_bytes_) {
+        const uint64_t slot = dir_.lookup(cachedBlockOf(sub));
         if (slot != BlockCacheDir::kNoSlot)
             dir_.markDirty(slot);
     }
@@ -163,13 +167,11 @@ void
 DramCachePolicy::forEachDisplacedBlock(
     const std::function<void(uint64_t)> &fn) const
 {
-    // Exactly the cached blocks are away from home.  fmHome() composed
-    // with homeFlatAddr() recovers the flat block number in both the
-    // pure cache and the MemCache hybrid (whose cacheable block indices
-    // start past the static region).
-    dir_.forEachResident([&](uint64_t block, uint64_t) {
-        fn(homeFlatAddr(fmHome(block)) / kSubblockSize);
-    });
+    // Exactly the cached blocks are away from home; cache block b is
+    // flat block b past the static region.
+    const uint64_t static_blocks = static_bytes_ / kSubblockSize;
+    dir_.forEachResident(
+        [&](uint64_t block, uint64_t) { fn(static_blocks + block); });
 }
 
 } // namespace policy

@@ -1,14 +1,23 @@
 /**
  * @file
- * A pure die-stacked DRAM cache (Alloy-style tags-and-data, cf.
- * Qureshi & Loh, MICRO 2012, and the hybrid-memory comparison points in
- * Bakhshalipour et al.): NM is NOT part of the OS-visible flat space —
- * it is a hardware-managed cache of FM at 64B granularity, with the tag
- * stored alongside the data so a hit costs one extended NM burst.
+ * The cache-like NM organizations as one policy, parameterised by the
+ * share of NM that is OS-visible memory (cf. Bakhshalipour et al.,
+ * "Die-Stacked DRAM: Memory, Cache, or MemCache?", PAPERS.md):
  *
- * Contrast with the flat schemes: the OS address space is FM alone, so
- * NM capacity adds no memory, only locality — the trade-off the SILC-FM
- * paper's flat organization is designed to beat.
+ *  - the first `static_bytes` of NM are flat memory: flat addresses
+ *    [0, static_bytes) identity-map onto them, with no tags, no fills
+ *    and no metadata;
+ *  - the rest of NM is a set-associative hardware cache of FM at 64B
+ *    granularity (Alloy-style tags-and-data, cf. Qureshi & Loh, MICRO
+ *    2012), with the tag stored alongside the data so a hit costs one
+ *    extended NM burst.
+ *
+ * With no static region this is the pure die-stacked DRAM cache
+ * ("dramcache"): the OS address space is FM alone, so NM capacity adds
+ * no memory, only locality — the trade-off the SILC-FM paper's flat
+ * organization is designed to beat.  With `mem_percent` of NM static
+ * it is the MemCache hybrid ("memcache"), whose flat space is the
+ * static region plus FM.
  */
 
 #ifndef SILC_POLICY_DRAM_CACHE_HH
@@ -22,7 +31,7 @@
 namespace silc {
 namespace policy {
 
-/** Die-stacked DRAM cache configuration. */
+/** Cache-region configuration ("dramcache": all of NM is cache). */
 struct DramCacheParams
 {
     /** Ways per set (Alloy adopts 1: direct-mapped TAD). */
@@ -33,13 +42,36 @@ struct DramCacheParams
     bool fill_on_write = true;
 };
 
-/** NM as a pure cache of FM. */
-class DramCachePolicy : public FlatMemoryPolicy
+/** MemCache hybrid configuration: the cache region plus the static
+ *  share of NM. */
+struct MemCacheParams : DramCacheParams
+{
+    MemCacheParams() { ways = 2; }
+
+    /** Share of NM exposed as flat memory (rest is cache), in [0, 99];
+     *  rounded down to a 2KB multiple. */
+    uint32_t mem_percent = 50;
+};
+
+/** NM bytes the MemCache hybrid exposes as flat memory: @p p's
+ *  mem_percent of NM, rounded down to a 2KB multiple (fatal when that
+ *  leaves no cache). */
+uint64_t memCacheStaticBytes(const PolicyEnv &env, const MemCacheParams &p);
+
+/** NM split into a static flat region and a cache of FM. */
+class DramCachePolicy final : public FlatMemoryPolicy
 {
   public:
-    DramCachePolicy(PolicyEnv env, DramCacheParams params);
+    /**
+     * @param static_bytes NM bytes exposed as flat memory (a multiple
+     *                     of 64B, below NM capacity); 0 for a pure cache
+     * @param name         registry scheme name the policy reports
+     */
+    DramCachePolicy(PolicyEnv env, const DramCacheParams &params,
+                    uint64_t static_bytes = 0,
+                    const char *name = "dramcache");
 
-    const char *name() const override { return "dramcache"; }
+    const char *name() const override { return name_; }
     uint64_t flatSpaceBytes() const override;
     void demandAccess(Addr paddr, bool is_write, CoreId core, Addr pc,
                       DemandCallback done, Tick now) override;
@@ -50,24 +82,15 @@ class DramCachePolicy : public FlatMemoryPolicy
     void snapshotState(BlobWriter &w) const override;
     void restoreState(BlobReader &r) override;
 
-    // NM is invisible to the OS: every flat block homes in FM, and no
-    // NM slot is any block's home.
-    Location
-    homeLocation(Addr paddr) const override
-    {
-        return Location{false, subblockAddr(paddr)};
-    }
-
-    Addr
-    homeFlatAddr(const Location &loc) const override
-    {
-        return loc.in_nm ? kAddrInvalid : loc.device_addr;
-    }
-
-    uint64_t homeNmBytes() const override { return 0; }
+    // Home layout: the static region is the NM part of the flat space;
+    // everything past it homes in FM.  Cache slots are nobody's home.
+    uint64_t homeNmBytes() const override { return static_bytes_; }
 
     void forEachDisplacedBlock(
         const std::function<void(uint64_t)> &fn) const override;
+
+    /** NM bytes exposed as flat memory. */
+    uint64_t staticBytes() const { return static_bytes_; }
 
     uint64_t fills() const { return fills_; }
     uint64_t dirtyEvictions() const { return dirty_evictions_; }
@@ -77,11 +100,29 @@ class DramCachePolicy : public FlatMemoryPolicy
     /** Shadow-oracle self-tests ONLY (see BlockCacheDir). */
     BlockCacheDir &directoryForFaultInjection() { return dir_; }
 
-  protected:
-    /** For subclasses that cache with only part of NM: @p slots is the
-     *  number of 64B cache slots the directory covers. */
-    DramCachePolicy(PolicyEnv env, DramCacheParams params,
-                    uint64_t slots);
+  private:
+    /** Cache block index of device-sized subblock address @p sub (at or
+     *  past the static region): its FM home, in 64B units. */
+    uint64_t
+    cachedBlockOf(Addr sub) const
+    {
+        return (sub - static_bytes_) >> kSubblockBits;
+    }
+
+    /** FM device location of cache block @p block. */
+    static Location
+    fmHome(uint64_t block)
+    {
+        return Location{false, block * kSubblockSize};
+    }
+
+    /** NM device byte address of cache slot @p slot (slots live above
+     *  the static region). */
+    Addr
+    slotAddr(uint64_t slot) const
+    {
+        return static_bytes_ + slot * kSubblockSize;
+    }
 
     /** Install @p block (evicting as needed); demand data already in
      *  flight carries the line, so only the eviction and the NM install
@@ -89,24 +130,9 @@ class DramCachePolicy : public FlatMemoryPolicy
     void fillBlock(uint64_t block, const Location &from, bool is_write,
                    CoreId core, Tick now);
 
-    /** The full cache lookup/miss/fill path for one demand access to
-     *  cacheable 64B block @p block (MemCache routes its dynamic-region
-     *  accesses here). */
-    void cacheDemand(uint64_t block, Addr paddr, bool is_write,
-                     CoreId core, Addr pc, DemandCallback done, Tick now);
-
-    /** FM device location of cacheable 64B block @p block. */
-    virtual Location fmHome(uint64_t block) const;
-
-    /** NM device byte address of cache slot @p slot. */
-    virtual Addr slotAddr(uint64_t slot) const;
-
-    /** Cacheable block index of device-sized subblock address @p sub, or
-     *  BlockCacheDir::kNoBlock when the address is not cacheable (the
-     *  MemCache static region). */
-    virtual uint64_t cachedBlockOf(Addr sub) const;
-
+    const char *name_;
     DramCacheParams params_;
+    uint64_t static_bytes_;
     BlockCacheDir dir_;
     uint64_t fills_ = 0;
     uint64_t dirty_evictions_ = 0;

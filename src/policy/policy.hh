@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "common/event_queue.hh"
 #include "common/types.hh"
@@ -146,29 +147,35 @@ class FlatMemoryPolicy
     // in a freshly constructed policy, before any migration.  The sparse
     // shadow-data oracle stores only the blocks that DEVIATE from this
     // layout, so its memory cost is footprint- rather than
-    // capacity-proportional.  Contract:
+    // capacity-proportional.  The layout is one number, S =
+    // homeNmBytes(): flat addresses [0, S) identity-map onto NM, and
+    // every flat address a >= S homes in FM at a - S.  Contract:
     //   - locate(p) == homeLocation(p) for every p on a fresh policy,
     //   - homeFlatAddr(homeLocation(p)) == subblockAddr(p), and
     //     homeFlatAddr(loc) == kAddrInvalid iff no flat block homes at
-    //     loc (e.g. DRAM-cache slots),
-    //   - homeNmBytes() == bytes of NM that are some block's home.
+    //     loc (e.g. DRAM-cache slots).
 
     /** Residence of @p paddr in a freshly constructed policy. */
     virtual Location
     homeLocation(Addr paddr) const
     {
-        return identityLocation(subblockAddr(paddr));
+        const Addr sub = subblockAddr(paddr);
+        const uint64_t s = homeNmBytes();
+        return sub < s ? Location{true, sub} : Location{false, sub - s};
     }
 
     /** Flat address whose home is @p loc, or kAddrInvalid if none. */
     virtual Addr
     homeFlatAddr(const Location &loc) const
     {
-        const uint64_t nm_bytes = env_.nm ? env_.nm->capacity() : 0;
-        return loc.in_nm ? loc.device_addr : nm_bytes + loc.device_addr;
+        const uint64_t s = homeNmBytes();
+        if (loc.in_nm)
+            return loc.device_addr < s ? loc.device_addr : kAddrInvalid;
+        return s + loc.device_addr;
     }
 
-    /** Bytes of NM device space used as home locations. */
+    /** Bytes of NM device space used as home locations (S above); the
+     *  identity layout's NM capacity by default. */
     virtual uint64_t
     homeNmBytes() const
     {
@@ -250,13 +257,13 @@ class FlatMemoryPolicy
     virtual void restoreState(BlobReader &r);
 
     /**
-     * Attach (or detach, with nullptr) a scheme-agnostic functional
-     * observer.  The policy does not own the observer, which must
-     * outlive it or be detached first.
+     * Attach a functional observer.  Every attached observer sees every
+     * notification, in attach order.  The policy does not own the
+     * observers, which must outlive it.
      */
-    void setAccessObserver(AccessObserver *observer)
+    void addAccessObserver(AccessObserver *observer)
     {
-        access_observer_ = observer;
+        observers_.push_back(observer);
     }
 
   protected:
@@ -306,31 +313,29 @@ class FlatMemoryPolicy
     void swapSubblocks(const Location &a, const Location &b, CoreId core,
                        Tick now);
 
-    /** Report a demand access' resolution to the access observer. */
+    /** Report a demand access' resolution to the observers. */
     void
     notifyDemand(Addr paddr, bool is_write, CoreId core, Addr pc,
                  const Location &serviced)
     {
-        if (access_observer_ != nullptr) {
-            access_observer_->onDemandResolved(paddr, is_write, core, pc,
-                                               serviced);
-        }
+        for (AccessObserver *o : observers_)
+            o->onDemandResolved(paddr, is_write, core, pc, serviced);
     }
 
     /** Report a functional copy the traffic helpers did not. */
     void
     notifyCopy(const Location &src, const Location &dst)
     {
-        if (access_observer_ != nullptr)
-            access_observer_->onBlockCopied(src, dst);
+        for (AccessObserver *o : observers_)
+            o->onBlockCopied(src, dst);
     }
 
     /** Report a functional swap the traffic helpers did not. */
     void
     notifySwap(const Location &a, const Location &b)
     {
-        if (access_observer_ != nullptr)
-            access_observer_->onBlocksSwapped(a, b);
+        for (AccessObserver *o : observers_)
+            o->onBlocksSwapped(a, b);
     }
 
     /** Device + address for a flat physical address (identity layout:
@@ -340,7 +345,7 @@ class FlatMemoryPolicy
     dram::DramSystem &deviceFor(const Location &loc) const;
 
     PolicyEnv env_;
-    AccessObserver *access_observer_ = nullptr;
+    std::vector<AccessObserver *> observers_;
     uint64_t nm_serviced_ = 0;
     uint64_t fm_serviced_ = 0;
     uint64_t migration_ops_ = 0;

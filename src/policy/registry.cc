@@ -189,7 +189,10 @@ SchemeRegistry::registerBuiltins()
         registerScheme("memcache", t,
                        [](const SchemeConfig &cfg, PolicyEnv env) {
                            return std::unique_ptr<FlatMemoryPolicy>(
-                               new MemCachePolicy(env, cfg.memcache));
+                               new DramCachePolicy(
+                                   env, cfg.memcache,
+                                   memCacheStaticBytes(env, cfg.memcache),
+                                   "memcache"));
                        });
     }
     {

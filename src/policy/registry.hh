@@ -31,7 +31,6 @@
 #include "policy/cameo.hh"
 #include "policy/dram_cache.hh"
 #include "policy/hma.hh"
-#include "policy/memcache.hh"
 #include "policy/pom.hh"
 #include "policy/policy.hh"
 

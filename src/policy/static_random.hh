@@ -30,20 +30,8 @@ class FmOnlyPolicy : public FlatMemoryPolicy
     Location locate(Addr paddr) const override;
 
     // The flat space is FM alone, even when an NM device exists in the
-    // environment (matrix runs give every scheme both devices): the
-    // identity-layout defaults would wrongly home low addresses in NM.
-    Location
-    homeLocation(Addr paddr) const override
-    {
-        return Location{false, subblockAddr(paddr)};
-    }
-
-    Addr
-    homeFlatAddr(const Location &loc) const override
-    {
-        return loc.in_nm ? kAddrInvalid : loc.device_addr;
-    }
-
+    // environment (matrix runs give every scheme both devices): no
+    // block homes in NM.
     uint64_t homeNmBytes() const override { return 0; }
 
     /** Static placement: nothing is ever displaced. */

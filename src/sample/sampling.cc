@@ -254,20 +254,31 @@ SamplingController::replayWindow(const std::vector<uint8_t> &blob,
     return s;
 }
 
+sim::SystemConfig
+SamplingController::warmingConfig() const
+{
+    sim::SystemConfig wcfg = cfg_;
+    wcfg.telemetry.enabled = false;
+    return wcfg;
+}
+
 sim::SimResult
 SamplingController::run()
 {
-    scfg_.validate();
-
-    // ---- Phase 1: sequential functional warming + checkpointing. ----
-    sim::SystemConfig wcfg = cfg_;
-    wcfg.telemetry.enabled = false;
-
-    sim::System warm(wcfg);
+    sim::System warm(warmingConfig());
     if (!warm.policyRef().supportsSampling()) {
         fatal("policy '%s' does not support checkpointed sampling",
               warm.policyRef().name());
     }
+    return run(warm);
+}
+
+sim::SimResult
+SamplingController::run(sim::System &warm)
+{
+    scfg_.validate();
+
+    // ---- Phase 1: sequential functional warming + checkpointing. ----
     warm.setFunctionalMode(true);
 
     const uint64_t total = cfg_.instructions_per_core;
@@ -391,17 +402,16 @@ SamplingController::run()
 sim::SimResult
 runMaybeSampled(const sim::SystemConfig &cfg, const SamplingConfig &scfg)
 {
-    sim::System probe(cfg);
-    if (!probe.policyRef().supportsSampling()) {
+    // One System either way: it warms the sampled run, or runs in full.
+    SamplingController ctl(cfg, scfg);
+    sim::System sys(ctl.warmingConfig());
+    if (!sys.policyRef().supportsSampling()) {
         warn("policy '%s' carries tick-coupled state; running %s in "
              "full detail instead of sampling",
-             probe.policyRef().name(), cfg.workload.c_str());
-        return probe.run();
+             sys.policyRef().name(), cfg.workload.c_str());
+        return sys.run();
     }
-    // The probe exists only for the capability check; the controller
-    // builds its own warming system.
-    SamplingController ctl(cfg, scfg);
-    return ctl.run();
+    return ctl.run(sys);
 }
 
 } // namespace sample

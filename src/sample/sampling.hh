@@ -173,6 +173,16 @@ class SamplingController
     sim::SimResult run();
 
   private:
+    friend sim::SimResult runMaybeSampled(const sim::SystemConfig &cfg,
+                                          const SamplingConfig &scfg);
+
+    /** cfg_ without telemetry: sampled runs record none. */
+    sim::SystemConfig warmingConfig() const;
+
+    /** Warm, checkpoint and replay on @p warm, a fresh System built
+     *  from warmingConfig() whose policy supports sampling. */
+    sim::SimResult run(sim::System &warm);
+
     WindowSample replayWindow(const std::vector<uint8_t> &blob,
                               uint64_t index);
 
@@ -183,7 +193,8 @@ class SamplingController
 /**
  * Sampled run when the policy supports it (FlatMemoryPolicy::
  * supportsSampling()), full detailed run otherwise (with a warning) —
- * the benches' --sample entry point, so HMA rows keep working.
+ * the benches' --sample entry point, so HMA rows keep working.  Either
+ * way it builds one System and records no telemetry.
  */
 sim::SimResult runMaybeSampled(const sim::SystemConfig &cfg,
                                const SamplingConfig &scfg);

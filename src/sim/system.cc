@@ -4,12 +4,9 @@
 #include <iomanip>
 #include <sstream>
 
-#include "check/differential.hh"
-#include "check/shadow.hh"
 #include "common/logging.hh"
 #include "common/serialize.hh"
 #include "policy/registry.hh"
-#include "policy/static_random.hh"
 #include "trace/file_trace.hh"
 #include "trace/profiles.hh"
 #include "trace/tenants.hh"
@@ -93,28 +90,6 @@ namespace {
  */
 constexpr Tick kWarmBlackoutCycles = 3067;
 
-/** SystemConfig's per-scheme param members, as the registry wants them. */
-policy::SchemeConfig
-schemeConfigOf(const SystemConfig &cfg)
-{
-    policy::SchemeConfig sc;
-    sc.silc = cfg.silc;
-    sc.hma = cfg.hma;
-    sc.pom = cfg.pom;
-    sc.cameo = cfg.cameo;
-    sc.dramcache = cfg.dramcache;
-    sc.memcache = cfg.memcache;
-    return sc;
-}
-
-std::unique_ptr<policy::FlatMemoryPolicy>
-makePolicy(const SystemConfig &cfg, policy::PolicyEnv env)
-{
-    const policy::SchemeInfo &scheme =
-        policy::SchemeRegistry::instance().resolve(cfg.scheme);
-    return scheme.factory(schemeConfigOf(cfg), env);
-}
-
 } // namespace
 
 // ---- MemoryHierarchy ---------------------------------------------------
@@ -133,6 +108,28 @@ MemoryHierarchy::MemoryHierarchy(const SystemConfig &cfg,
         cache::CacheParams pd = cfg.l1d;
         pd.name = "l1d" + std::to_string(c);
         l1d_.emplace_back(pd);
+    }
+}
+
+void
+MemoryHierarchy::install(CoreId core, Addr paddr, bool is_write,
+                         bool from_memory, Tick now)
+{
+    // Victims cascade downwards: L2's dirty victim leaves the
+    // hierarchy, L1's dirty victim lands in L2 (whose own dirty victim
+    // then leaves).
+    if (from_memory) {
+        const cache::AccessOutcome o2 = l2_.fill(paddr, false);
+        if (o2.writeback)
+            policy_.writeback(o2.writeback_addr, core, now);
+    }
+    cache::Cache &l1 = l1d_[core];
+    const cache::AccessOutcome o1 =
+        from_memory ? l1.fill(paddr, is_write) : l1.access(paddr, is_write);
+    if (o1.writeback) {
+        const cache::AccessOutcome ol2 = l2_.fill(o1.writeback_addr, true);
+        if (ol2.writeback)
+            policy_.writeback(ol2.writeback_addr, core, now);
     }
 }
 
@@ -168,15 +165,7 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
             ++llc_misses_total_;
             policy_.demandAccess(block, is_write, core, pc, nullptr,
                                  now);
-            auto o2 = l2_.fill(paddr, false);
-            if (o2.writeback)
-                policy_.writeback(o2.writeback_addr, core, now);
-            auto o1 = l1.fill(paddr, is_write);
-            if (o1.writeback) {
-                auto ol2 = l2_.fill(o1.writeback_addr, true);
-                if (ol2.writeback)
-                    policy_.writeback(ol2.writeback_addr, core, now);
-            }
+            install(core, paddr, is_write, true, now);
             l1.noteMiss();
             l2_.noteMiss();
             if (done)
@@ -187,16 +176,7 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
         // Demand miss at the LLC: needs an MSHR.
         auto fill_cb = [this, core, paddr, is_write,
                         done = std::move(done)](Tick t) mutable {
-            // Install into both levels; victims cascade downwards.
-            auto o2 = l2_.fill(paddr, false);
-            if (o2.writeback)
-                policy_.writeback(o2.writeback_addr, core, t);
-            auto o1 = l1d_[core].fill(paddr, is_write);
-            if (o1.writeback) {
-                auto ol2 = l2_.fill(o1.writeback_addr, true);
-                if (ol2.writeback)
-                    policy_.writeback(ol2.writeback_addr, core, t);
-            }
+            install(core, paddr, is_write, true, t);
             if (done)
                 done(t + cfg_.fill_latency);
         };
@@ -224,14 +204,8 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
         return true;
     }
 
-    // L2 hit (already counted above): fill L1, cascade any dirty L1
-    // victim into L2.
-    auto o1 = l1.access(paddr, is_write);
-    if (o1.writeback) {
-        auto ol2 = l2_.fill(o1.writeback_addr, true);
-        if (ol2.writeback)
-            policy_.writeback(ol2.writeback_addr, core, now);
-    }
+    // L2 hit (already counted above): fill L1.
+    install(core, paddr, is_write, false, now);
     if (done)
         done(now + cfg_.l1d.latency_cycles + cfg_.l2.latency_cycles);
     return true;
@@ -284,7 +258,7 @@ System::System(SystemConfig cfg)
     env.nm = nm_.get();
     env.fm = fm_.get();
     env.events = &events_;
-    policy_ = makePolicy(cfg_, env);
+    policy_ = scheme.factory(cfg_, env);
 
     translation_ = std::make_unique<Translation>(
         policy_->flatSpaceBytes(), cfg_.seed);
@@ -324,23 +298,8 @@ System::System(SystemConfig cfg)
         attachTelemetry();
 
     if (cfg_.check) {
-        // Tier 1: the scheme-agnostic shadow-data invariant checker,
-        // valid for every organization.
-        check::ShadowChecker::Options sopts;
-        sopts.panic_on_divergence = true;
-        shadow_ = std::make_unique<check::ShadowChecker>(*policy_, sopts);
-        policy_->setAccessObserver(shadow_.get());
-        // Tier 2: the per-scheme metadata-lockstep oracle, where the
-        // scheme has a reference model.
-        if (scheme.traits.has_reference_oracle) {
-            auto &silc_policy =
-                static_cast<core::SilcFmPolicy &>(*policy_);
-            check::DifferentialChecker::Options opts;
-            opts.panic_on_divergence = true;
-            checker_ = std::make_unique<check::DifferentialChecker>(
-                silc_policy, opts);
-            silc_policy.setObserver(checker_.get());
-        }
+        oracle_ = check::attachOracle(
+            *policy_, scheme.traits.has_reference_oracle, true);
     }
 }
 
@@ -492,10 +451,10 @@ uint64_t
 System::accessesChecked() const
 {
     uint64_t n = 0;
-    if (shadow_)
-        n += shadow_->accessesChecked();
-    if (checker_)
-        n += checker_->accessesChecked();
+    if (oracle_.shadow)
+        n += oracle_.shadow->accessesChecked();
+    if (oracle_.differential)
+        n += oracle_.differential->accessesChecked();
     return n;
 }
 
@@ -572,8 +531,8 @@ System::restoreState(BlobReader &r)
 
     // The data layout reverted under the shadow oracle's feet; rebuild
     // its map from the restored locate() state.
-    if (shadow_)
-        shadow_->reseed();
+    if (oracle_.shadow)
+        oracle_.shadow->reseed();
 }
 
 SimResult
@@ -653,10 +612,10 @@ System::collectResult(bool all_done)
 
     // One last deep sweep of the complete oracle state; any violation
     // panics (both checkers run in panic_on_divergence mode).
-    if (shadow_)
-        shadow_->verifyFullState();
-    if (checker_)
-        checker_->verifyFullState();
+    if (oracle_.shadow)
+        oracle_.shadow->verifyFullState();
+    if (oracle_.differential)
+        oracle_.differential->verifyFullState();
     return r;
 }
 

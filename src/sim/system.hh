@@ -21,15 +21,11 @@
 
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
+#include "check/oracle.hh"
 #include "common/event_queue.hh"
-#include "core/silc_fm.hh"
 #include "cpu/core.hh"
 #include "dram/dram_system.hh"
-#include "policy/cameo.hh"
-#include "policy/dram_cache.hh"
-#include "policy/hma.hh"
-#include "policy/memcache.hh"
-#include "policy/pom.hh"
+#include "policy/registry.hh"
 #include "sim/metrics.hh"
 #include "sim/translation.hh"
 #include "telemetry/recorder.hh"
@@ -37,15 +33,14 @@
 
 namespace silc {
 
-namespace check {
-class DifferentialChecker;
-class ShadowChecker;
-} // namespace check
-
 namespace sim {
 
-/** All knobs of one simulation. */
-struct SystemConfig
+/**
+ * All knobs of one simulation.  The per-scheme parameter members
+ * (silc, hma, pom, cameo, dramcache, memcache) come from the
+ * policy::SchemeConfig base, which is what the scheme factory reads.
+ */
+struct SystemConfig : policy::SchemeConfig
 {
     uint32_t cores = 8;
     uint64_t instructions_per_core = 500'000;
@@ -93,13 +88,6 @@ struct SystemConfig
 
     dram::DramTimingParams nm_timing;
     dram::DramTimingParams fm_timing;
-
-    core::SilcFmParams silc;
-    policy::HmaParams hma;
-    policy::PomParams pom;
-    policy::CameoParams cameo;
-    policy::DramCacheParams dramcache;
-    policy::MemCacheParams memcache;
 
     /**
      * Epoch time-series instrumentation (src/telemetry/).  Disabled by
@@ -256,8 +244,8 @@ class System
     std::vector<std::unique_ptr<trace::TraceSource>> traces_;
     std::vector<std::unique_ptr<cpu::Core>> cores_;
     std::unique_ptr<telemetry::Recorder> recorder_;
-    std::unique_ptr<check::DifferentialChecker> checker_;
-    std::unique_ptr<check::ShadowChecker> shadow_;
+    /** Both tiers null unless cfg_.check. */
+    check::Oracle oracle_;
 };
 
 /**
@@ -306,6 +294,14 @@ class MemoryHierarchy : public cpu::MemoryPort
     const cache::MshrFile &mshrs() const { return mshr_; }
 
   private:
+    /**
+     * Install @p paddr into @p core's L1 — an L1 miss that hit in L2
+     * (access()), or a line from memory (@p from_memory: fill() into
+     * both levels) — writing dirty victims down to the policy.
+     */
+    void install(CoreId core, Addr paddr, bool is_write, bool from_memory,
+                 Tick now);
+
     const SystemConfig &cfg_;
     Translation &translation_;
     policy::FlatMemoryPolicy &policy_;

@@ -25,7 +25,6 @@
 #include "core/silc_fm.hh"
 #include "dram/dram_system.hh"
 #include "policy/dram_cache.hh"
-#include "policy/memcache.hh"
 #include "policy/registry.hh"
 #include "sim/system.hh"
 #include "trace/fuzz.hh"
@@ -85,7 +84,7 @@ class CheckFixture : public ::testing::Test
         l.policy = std::make_unique<SilcFmPolicy>(env_, params);
         l.checker =
             std::make_unique<DifferentialChecker>(*l.policy, opts);
-        l.policy->setObserver(l.checker.get());
+        l.policy->addAccessObserver(l.checker.get());
         return l;
     }
 
@@ -411,7 +410,7 @@ TEST_F(CheckFixture, ShadowCleanOnEveryRegisteredScheme)
         std::unique_ptr<policy::FlatMemoryPolicy> p =
             reg.resolve(name).factory(params, env_);
         ShadowChecker shadow(*p);
-        p->setAccessObserver(&shadow);
+        p->addAccessObserver(&shadow);
         Rng rng(77);
         Tick now = 0;
         const uint64_t blocks = p->flatSpaceBytes() / kSubblockSize;
@@ -445,7 +444,7 @@ runCacheFaultScenario(policy::DramCachePolicy &p, Addr base,
                       CacheFault fault, const char *expect_substr)
 {
     ShadowChecker shadow(p);
-    p.setAccessObserver(&shadow);
+    p.addAccessObserver(&shadow);
     const uint64_t sets = p.directory().sets();
     const uint32_t ways = p.directory().ways();
     Tick now = 0;
@@ -499,13 +498,15 @@ class CacheShadowFaults : public CheckFixture
         return p;
     }
 
-    policy::MemCacheParams
-    mcParams()
+    /** The registry's "memcache" at a 50% static share, 2 ways. */
+    policy::DramCachePolicy
+    memCache()
     {
         policy::MemCacheParams p;
         p.mem_percent = 50;
         p.ways = 2;
-        return p;
+        return policy::DramCachePolicy(
+            env_, p, policy::memCacheStaticBytes(env_, p), "memcache");
     }
 };
 
@@ -531,14 +532,14 @@ TEST_F(CacheShadowFaults, DramCacheCapacityOverflowDetected)
 
 TEST_F(CacheShadowFaults, MemCacheLostWriteDetected)
 {
-    policy::MemCachePolicy p(env_, mcParams());
+    policy::DramCachePolicy p = memCache();
     runCacheFaultScenario(p, p.staticBytes(), CacheFault::LostWrite,
                           "lost write");
 }
 
 TEST_F(CacheShadowFaults, MemCacheDuplicateBlockDetected)
 {
-    policy::MemCachePolicy p(env_, mcParams());
+    policy::DramCachePolicy p = memCache();
     runCacheFaultScenario(p, p.staticBytes(),
                           CacheFault::DuplicateBlock,
                           "duplicate mapping");
@@ -546,7 +547,7 @@ TEST_F(CacheShadowFaults, MemCacheDuplicateBlockDetected)
 
 TEST_F(CacheShadowFaults, MemCacheCapacityOverflowDetected)
 {
-    policy::MemCachePolicy p(env_, mcParams());
+    policy::DramCachePolicy p = memCache();
     runCacheFaultScenario(p, p.staticBytes(),
                           CacheFault::CapacityOverflow,
                           "capacity overflow");
@@ -558,7 +559,7 @@ TEST_F(CacheShadowFaults, ShadowPanicModeDiesOnCorruption)
     ShadowChecker::Options opts;
     opts.panic_on_divergence = true;
     ShadowChecker shadow(p, opts);
-    p.setAccessObserver(&shadow);
+    p.addAccessObserver(&shadow);
     p.demandAccess(3 * kSubblockSize, false, 0, 0x400, nullptr, 0);
     p.directoryForFaultInjection().faultMapToSlot(
         3, p.directory().slots() + 123);

@@ -19,7 +19,6 @@
 #include "policy/cameo.hh"
 #include "policy/dram_cache.hh"
 #include "policy/hma.hh"
-#include "policy/memcache.hh"
 #include "policy/pom.hh"
 #include "policy/static_random.hh"
 
@@ -664,11 +663,23 @@ TEST_F(PolicyFixture, DramCacheSnapshotRestoreRoundTrips)
 
 // ---- MemCache (hybrid static flat + cache) ----------------------------------
 
+namespace {
+
+/** The registry's "memcache": the cache policy with a static region. */
+DramCachePolicy
+makeMemCache(PolicyEnv env, const MemCacheParams &params)
+{
+    return DramCachePolicy(env, params, memCacheStaticBytes(env, params),
+                           "memcache");
+}
+
+} // namespace
+
 TEST_F(PolicyFixture, MemCacheStaticSplitIsPageAligned)
 {
     MemCacheParams params;
     params.mem_percent = 50;
-    MemCachePolicy p(env_, params);
+    DramCachePolicy p = makeMemCache(env_, params);
     // The split is the percentage share rounded DOWN to a whole 2KB
     // page; within a page of the exact share, never above it.
     EXPECT_EQ(p.staticBytes() % kLargeBlockSize, 0u);
@@ -678,7 +689,7 @@ TEST_F(PolicyFixture, MemCacheStaticSplitIsPageAligned)
 
     MemCacheParams odd;
     odd.mem_percent = 33;
-    MemCachePolicy q(env_, odd);
+    DramCachePolicy q = makeMemCache(env_, odd);
     EXPECT_EQ(q.staticBytes() % kLargeBlockSize, 0u);
     EXPECT_LE(q.staticBytes(), nm_->capacity() / 100 * 33);
 }
@@ -687,7 +698,7 @@ TEST_F(PolicyFixture, MemCacheStaticRegionIdentityMapsToNm)
 {
     MemCacheParams params;
     params.mem_percent = 50;
-    MemCachePolicy p(env_, params);
+    DramCachePolicy p = makeMemCache(env_, params);
     const Addr addr = p.staticBytes() - kSubblockSize;
     const Location loc = p.locate(addr);
     EXPECT_TRUE(loc.in_nm);
@@ -703,7 +714,7 @@ TEST_F(PolicyFixture, MemCacheDynamicRegionCachesAboveStatic)
 {
     MemCacheParams params;
     params.mem_percent = 50;
-    MemCachePolicy p(env_, params);
+    DramCachePolicy p = makeMemCache(env_, params);
     const Addr addr = p.staticBytes() + 2_MiB;
     // Miss: the line lives at its FM home (flat minus static region).
     Location loc = p.locate(addr);
@@ -727,7 +738,7 @@ TEST_F(PolicyFixture, MemCacheCacheCoversExactlyNonStaticNm)
 {
     MemCacheParams params;
     params.mem_percent = 50;
-    MemCachePolicy p(env_, params);
+    DramCachePolicy p = makeMemCache(env_, params);
     EXPECT_EQ(p.staticBytes() +
                   p.directory().slots() * kSubblockSize,
               nm_->capacity());
@@ -737,5 +748,5 @@ TEST_F(PolicyFixture, MemCacheAllMemoryPercentIsFatal)
 {
     MemCacheParams params;
     params.mem_percent = 100;
-    EXPECT_DEATH(MemCachePolicy(env_, params), "mem_percent");
+    EXPECT_DEATH(makeMemCache(env_, params), "mem_percent");
 }

@@ -13,6 +13,7 @@
 
 #include "common/serialize.hh"
 #include "core/silc_fm.hh"
+#include "policy/registry.hh"
 #include "sample/sampling.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -179,23 +180,36 @@ TEST(StatsAggregatorTest, SingleWindowHasZeroCi)
 
 TEST(CheckpointTest, RoundTripIsByteExact)
 {
-    const SystemConfig cfg = sampleConfig("mcf", "silcfm", 2,
-                                          100'000);
+    // Every registered scheme that can be checkpointed.
+    std::vector<std::string> checked;
+    for (const std::string &scheme :
+         policy::SchemeRegistry::instance().names()) {
+        SCOPED_TRACE(scheme);
+        const SystemConfig cfg = sampleConfig("mcf", scheme, 2, 100'000);
 
-    System warm(cfg);
-    warm.setFunctionalMode(true);
-    warm.setPerCoreBudget(30'000);
-    ASSERT_TRUE(warm.runToBudget());
-    const std::vector<uint8_t> a = snapshotBlob(warm);
+        System warm(cfg);
+        if (!warm.policyRef().supportsSampling())
+            continue;
+        checked.push_back(scheme);
+        warm.setFunctionalMode(true);
+        warm.setPerCoreBudget(30'000);
+        ASSERT_TRUE(warm.runToBudget());
+        const std::vector<uint8_t> a = snapshotBlob(warm);
 
-    // Restoring into a fresh system and re-capturing must reproduce the
-    // blob byte for byte: nothing outside the checkpoint affects it.
-    System fresh(cfg);
-    BlobReader r(a);
-    fresh.restoreState(r);
-    const std::vector<uint8_t> b = snapshotBlob(fresh);
-    EXPECT_EQ(a, b);
-    EXPECT_GT(a.size(), 0u);
+        // Restoring into a fresh system and re-capturing must reproduce
+        // the blob byte for byte: nothing outside the checkpoint
+        // affects it.
+        System fresh(cfg);
+        BlobReader r(a);
+        fresh.restoreState(r);
+        const std::vector<uint8_t> b = snapshotBlob(fresh);
+        EXPECT_EQ(a, b);
+        EXPECT_GT(a.size(), 0u);
+    }
+    const std::vector<std::string> expected = {
+        "fmonly", "rand", "cam", "camp", "pom", "dramcache", "memcache",
+        "silcfm"};
+    EXPECT_EQ(checked, expected);
 }
 
 TEST(CheckpointTest, ReplayFromCheckpointIsDeterministic)
