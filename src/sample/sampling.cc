@@ -1,8 +1,10 @@
 #include "sample/sampling.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cmath>
+#include <deque>
 #include <future>
 #include <memory>
 
@@ -163,8 +165,8 @@ SamplingController::SamplingController(sim::SystemConfig cfg,
 }
 
 WindowSample
-SamplingController::replayWindow(const std::vector<uint8_t> &blob,
-                                 uint64_t index)
+SamplingController::replayWindow(std::vector<uint8_t> blob,
+                                 uint64_t index) const
 {
     sim::SystemConfig rcfg = cfg_;
     rcfg.telemetry.enabled = false;
@@ -175,8 +177,11 @@ SamplingController::replayWindow(const std::vector<uint8_t> &blob,
     rcfg.instructions_per_core = scfg_.warmup;
 
     sim::System sys(rcfg);
-    BlobReader reader(blob);
-    sys.restoreState(reader);
+    {
+        BlobReader reader(blob);
+        sys.restoreState(reader);
+    }
+    std::vector<uint8_t>().swap(blob); // restored: free it for the window
 
     // Detailed warmup: re-populates MSHR/DRAM/row-buffer timing state
     // from the checkpoint's architectural state; measurements discard it.
@@ -277,22 +282,70 @@ sim::SimResult
 SamplingController::run(sim::System &warm)
 {
     scfg_.validate();
-
-    // ---- Phase 1: sequential functional warming + checkpointing. ----
     warm.setFunctionalMode(true);
 
     const uint64_t total = cfg_.instructions_per_core;
     const uint64_t n_ckpt = std::max<uint64_t>(1, total / scfg_.period);
 
-    std::vector<std::vector<uint8_t>> blobs;
-    blobs.reserve(n_ckpt);
+    // Windows at or past the early-stop cut are never measured; replay
+    // tasks read it when they start, so those already queued return
+    // without restoring.  Declared before the pool, whose destructor
+    // drains those tasks.
+    std::atomic<uint64_t> cut{n_ckpt};
+    StatsAggregator agg;
+    bool early = false;
+    // Checkpoint order; front() is the oldest window not yet collected.
+    std::deque<std::future<WindowSample>> pending;
+
+    sim::ThreadPool pool(scfg_.threads);
+    // At most threads + 1 checkpoints are alive at once: one per
+    // worker plus the one being queued, so peak memory does not grow
+    // with the campaign length.
+    const size_t max_in_flight = pool.threads() + 1;
+
+    // Collects the oldest pending window.  Fixed-size batches keep
+    // early stopping deterministic across pool widths: windows enter
+    // the aggregator in checkpoint order and the CI test runs only at
+    // batch boundaries.
+    constexpr size_t kBatch = 4;
+    const auto collect = [&] {
+        agg.add(pending.front().get());
+        pending.pop_front();
+        const size_t n = agg.windows();
+        if (scfg_.ci_target > 0.0 && n % kBatch == 0 &&
+            n >= scfg_.min_windows && n < n_ckpt) {
+            const MetricEstimate e = agg.estimate("ipc");
+            if (e.mean > 0.0 && e.ci_half / e.mean <= scfg_.ci_target) {
+                early = true;
+                cut.store(n);
+            }
+        }
+    };
+
+    // Functional warming runs sequentially on this thread.  Each
+    // checkpoint goes straight to a replay task that owns its blob, so
+    // replays overlap the rest of the warming.  After an early stop
+    // warming still reaches the last checkpoint position (the base
+    // result's footprint and workload size do not depend on the cut),
+    // but takes no more checkpoints.
     for (uint64_t k = 0; k < n_ckpt; ++k) {
         warm.setPerCoreBudget(k * scfg_.period);
         if (!warm.runToBudget())
             fatal("sampling: functional warming hit the tick limit");
+        if (!early && pending.size() == max_in_flight)
+            collect();
+        if (early)
+            continue;
         BlobWriter w;
         warm.snapshotState(w);
-        blobs.push_back(std::move(w).take());
+        auto task = std::make_shared<std::packaged_task<WindowSample()>>(
+            [this, &cut, k, blob = std::move(w).take()]() mutable {
+                if (k >= cut.load())
+                    return WindowSample{};
+                return replayWindow(std::move(blob), k);
+            });
+        pending.push_back(task->get_future());
+        pool.submit([task] { (*task)(); });
     }
     // The stream past the last checkpoint feeds no replay window, so
     // executing it buys nothing measurable — skip it unless the
@@ -309,48 +362,15 @@ SamplingController::run(sim::System &warm)
     }
     sim::SimResult base = warm.collectResult(true);
 
-    // ---- Phase 2: parallel detailed replay. ----
-    StatsAggregator agg;
-    bool early = false;
-    {
-        sim::ThreadPool pool(scfg_.threads);
-        // Fixed-size batches keep early stopping deterministic across
-        // pool widths: windows are collected in checkpoint order and
-        // the CI test runs only at batch boundaries.
-        constexpr size_t kBatch = 4;
-        size_t next = 0;
-        while (next < blobs.size() && !early) {
-            const size_t end = std::min(next + kBatch, blobs.size());
-            std::vector<std::future<WindowSample>> futs;
-            futs.reserve(end - next);
-            for (size_t i = next; i < end; ++i) {
-                auto task =
-                    std::make_shared<std::packaged_task<WindowSample()>>(
-                        [this, &blobs, i] {
-                            return replayWindow(blobs[i], i);
-                        });
-                futs.push_back(task->get_future());
-                pool.submit([task] { (*task)(); });
-            }
-            for (auto &f : futs)
-                agg.add(f.get());
-            next = end;
-            if (scfg_.ci_target > 0.0 &&
-                agg.windows() >= scfg_.min_windows &&
-                next < blobs.size()) {
-                const MetricEstimate e = agg.estimate("ipc");
-                if (e.mean > 0.0 && e.ci_half / e.mean <= scfg_.ci_target)
-                    early = true;
-            }
-        }
-    }
+    while (!early && !pending.empty())
+        collect();
 
-    // ---- Phase 3: aggregate into a SimResult + report. ----
+    // Aggregate into a SimResult + report.
     auto report = std::make_shared<SamplingReport>();
     report->period = scfg_.period;
     report->window = scfg_.window;
     report->warmup = scfg_.warmup;
-    report->checkpoints = static_cast<uint32_t>(blobs.size());
+    report->checkpoints = static_cast<uint32_t>(n_ckpt);
     report->windows = static_cast<uint32_t>(agg.windows());
     report->early_stopped = early;
     report->warm_instructions = warmed;

@@ -3,36 +3,43 @@
  * Statistical sampling subsystem: SMARTS-style systematic sampling with
  * functional warming and checkpointed parallel replay.
  *
- * A sampled run replaces one long detailed simulation with:
+ * A sampled run replaces one long detailed simulation with one stream:
  *
- *  1. One sequential **functional-warming** pass over the whole
- *     instruction stream.  Cores, caches, translation and the policy's
- *     metadata state machine (remap tables, bit vectors, locks,
- *     predictor, balancer, activity counters) all update exactly as in
- *     detailed mode, but LLC misses complete synchronously: no MSHRs,
- *     no DRAM timing, no queueing (System::setFunctionalMode()).  At
- *     every systematic interval of SILC_SAMPLE_PERIOD per-core
- *     instructions the warming system is checkpointed to an in-memory
- *     blob (System::snapshotState()).
+ *  - One sequential **functional-warming** pass over the instruction
+ *    stream.  Cores, caches, translation and the policy's metadata
+ *    state machine (remap tables, bit vectors, locks, predictor,
+ *    balancer, activity counters) all update exactly as in detailed
+ *    mode, but LLC misses complete synchronously: no MSHRs, no DRAM
+ *    timing, no queueing (System::setFunctionalMode()).  At every
+ *    systematic interval of SILC_SAMPLE_PERIOD per-core instructions
+ *    the warming system is checkpointed to an in-memory blob
+ *    (System::snapshotState()).
  *
- *  2. N independent **detailed replays**, one per checkpoint, executed
- *     in parallel on the shared ThreadPool (sim/parallel.hh).  Each
- *     replay restores its blob into a fresh System, runs
- *     SILC_SAMPLE_WARMUP detailed instructions per core to re-warm the
- *     timing state (MSHRs, DRAM queues, row buffers) — discarded — and
- *     then measures a SILC_SAMPLE_WINDOW-instruction detailed window by
- *     differencing counters across the window edges.
+ *  - One independent **detailed replay** per checkpoint, queued on a
+ *    ThreadPool (sim/parallel.hh) as soon as the checkpoint is taken,
+ *    so replays overlap the rest of the warming.  Each replay owns its
+ *    blob, restores it into a fresh System and frees it, runs
+ *    SILC_SAMPLE_WARMUP detailed instructions per core to re-warm the
+ *    timing state (MSHRs, DRAM queues, row buffers) — discarded — and
+ *    then measures a SILC_SAMPLE_WINDOW-instruction detailed window by
+ *    differencing counters across the window edges.  At most
+ *    threads + 1 checkpoints are alive at once: before taking the next
+ *    one, warming waits for the oldest outstanding window.
  *
- *  3. Aggregation: per-metric mean and 95% confidence interval over the
- *     window population (Student's t), reported in a `sampling` section
- *     of the silc.results.v1 JSON document.  When SILC_SAMPLE_CI_TARGET
- *     is set, replay stops early (at deterministic batch boundaries)
- *     once the relative CI half-width of IPC drops below the target.
+ *  - **Aggregation**: per-metric mean and 95% confidence interval over
+ *    the window population (Student's t), reported in a `sampling`
+ *    section of the silc.results.v1 JSON document.  When
+ *    SILC_SAMPLE_CI_TARGET is set, sampling stops early (at
+ *    deterministic batch boundaries) once the relative CI half-width of
+ *    IPC drops below the target: no later checkpoint is taken or
+ *    replayed, while warming still runs to the last checkpoint
+ *    position.
  *
  * Determinism: warming is sequential; every replay runs the sequential
- * loop from a byte-exact blob; windows are collected in checkpoint order and
- * early stopping is evaluated only at fixed batch boundaries — so
- * results are byte-identical across SILC_THREADS values.  The
+ * loop from a byte-exact blob and shares nothing else with warming;
+ * windows are collected in checkpoint order and early stopping is
+ * evaluated only at fixed batch boundaries — so results are
+ * byte-identical across pool widths.  The
  * SILC_SAMPLE_* knobs are rows of the table in common/knobs.hh.
  */
 
@@ -116,8 +123,11 @@ struct SamplingReport
     uint64_t period = 0;
     uint64_t window = 0;
     uint64_t warmup = 0;
-    uint32_t checkpoints = 0;       ///< captured during warming
-    uint32_t windows = 0;           ///< actually replayed
+    /** Checkpoint positions in the stream (max(1, instructions per
+     *  core / period)); counted in full even when an early stop means
+     *  the later ones were never taken. */
+    uint32_t checkpoints = 0;
+    uint32_t windows = 0;           ///< measured and aggregated
     bool early_stopped = false;
     /**
      * Per-core instructions actually executed functionally.  Equals the
@@ -157,8 +167,9 @@ class StatsAggregator
 };
 
 /**
- * Drives one sampled run: functional warming + checkpointing, parallel
- * detailed replay, aggregation.  The returned SimResult carries the
+ * Drives one sampled run: functional warming + checkpointing, with each
+ * checkpoint's detailed replay overlapping the warming, then
+ * aggregation.  The returned SimResult carries the
  * window-mean IPC/MPKI/latency/access-rate (with ticks back-derived
  * from the mean IPC), the warming run's footprint, and the full
  * SamplingReport in SimResult::sampling.  DRAM traffic/energy fields
@@ -183,8 +194,11 @@ class SamplingController
      *  from warmingConfig() whose policy supports sampling. */
     sim::SimResult run(sim::System &warm);
 
-    WindowSample replayWindow(const std::vector<uint8_t> &blob,
-                              uint64_t index);
+    /** Restore @p blob (freed once restored) into a fresh System and
+     *  measure checkpoint @p index's window.  Runs on a pool worker
+     *  and reads only the blob and the immutable configs. */
+    WindowSample replayWindow(std::vector<uint8_t> blob,
+                              uint64_t index) const;
 
     sim::SystemConfig cfg_;
     SamplingConfig scfg_;

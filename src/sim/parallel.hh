@@ -120,8 +120,11 @@ class ParallelRunner
      * Run every subsequently submitted job through
      * sample::runMaybeSampled with @p scfg instead of System::run (the
      * benches' --sample).  Each sampled job replays its windows on one
-     * thread, since the pool already runs one job per worker, and
-     * records no telemetry.  Call before the first submit.
+     * thread of its own, since the pool already runs one job per
+     * worker; that thread measures each window while the job's worker
+     * warms on to the next checkpoint, so a job keeps at most two
+     * checkpoints alive.  Sampled jobs record no telemetry.  Call
+     * before the first submit.
      */
     void setSampling(sample::SamplingConfig scfg);
 

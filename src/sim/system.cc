@@ -368,18 +368,20 @@ System::runToBudget()
             // Functional warming: same access stream as tick() (width
             // instructions per core per cycle, cores in order), minus
             // the ROB machinery — see Core::functionalTick.  The
-            // per-core phase stagger (start offset + rate skip, see
-            // kWarmStaggerCycles above) breaks the pure lockstep
-            // interleave, which keeps every core's stream phase-aligned
-            // in the shared L2 (detailed execution lets cores drift
-            // apart behind stalls) and measurably overestimates MPKI
-            // on wide contended fixtures — DESIGN.md "known biases".
+            // rolling per-core blackout (see kWarmBlackoutCycles above)
+            // breaks the pure lockstep interleave, which keeps every
+            // core's stream phase-aligned in the shared L2 (detailed
+            // execution lets cores drift apart behind stalls) and
+            // measurably overestimates MPKI on wide contended fixtures
+            // — DESIGN.md "known biases".  Core `blackout` sits out
+            // this cycle of the segment.
+            const Tick blackout =
+                (cycle - warm_seg_start_) / kWarmBlackoutCycles;
             for (size_t c = 0; c < cores_.size(); ++c) {
                 cpu::Core &core = *cores_[c];
                 if (core.done())
                     continue;
-                const Tick seg = cycle - warm_seg_start_;
-                if (seg / kWarmBlackoutCycles == static_cast<Tick>(c)) {
+                if (blackout == static_cast<Tick>(c)) {
                     all_done = false;
                     continue;
                 }

@@ -55,6 +55,34 @@ snapshotBlob(const System &sys)
     return std::move(w).take();
 }
 
+/** @p a and @p b are the same sampled result, report included. */
+void
+expectSameSampledResult(const SimResult &a, const SimResult &b)
+{
+    ASSERT_NE(a.sampling, nullptr);
+    ASSERT_NE(b.sampling, nullptr);
+    EXPECT_EQ(a.ticks, b.ticks);
+    EXPECT_EQ(a.llc_misses, b.llc_misses);
+    EXPECT_EQ(a.ipc, b.ipc);
+    EXPECT_EQ(a.nm_demand_bytes, b.nm_demand_bytes);
+    EXPECT_EQ(a.fm_demand_bytes, b.fm_demand_bytes);
+    const SamplingReport &ra = *a.sampling;
+    const SamplingReport &rb = *b.sampling;
+    EXPECT_EQ(ra.checkpoints, rb.checkpoints);
+    EXPECT_EQ(ra.windows, rb.windows);
+    EXPECT_EQ(ra.early_stopped, rb.early_stopped);
+    EXPECT_EQ(ra.warm_instructions, rb.warm_instructions);
+    ASSERT_EQ(ra.metrics.size(), rb.metrics.size());
+    for (size_t i = 0; i < ra.metrics.size(); ++i) {
+        const MetricEstimate &ma = ra.metrics[i];
+        const MetricEstimate &mb = rb.metrics[i];
+        EXPECT_EQ(ma.name, mb.name);
+        EXPECT_EQ(ma.mean, mb.mean) << ma.name;
+        EXPECT_EQ(ma.ci_half, mb.ci_half) << ma.name;
+        EXPECT_EQ(ma.n, mb.n) << ma.name;
+    }
+}
+
 } // namespace
 
 // ---- Blob serialization ------------------------------------------------
@@ -330,27 +358,21 @@ TEST(SamplingEndToEnd, SampledMetricsWithinReportedCi)
 
 TEST(SamplingEndToEnd, DeterministicAcrossPoolWidths)
 {
+    // 8 checkpoints: more than width + 1 at every width, so the cap on
+    // checkpoints in flight holds warming back while replays run.
     const SystemConfig cfg = sampleConfig("gcc", "silcfm", 2,
-                                          200'000);
-    SamplingConfig a = smokeSamplingConfig();
-    a.threads = 1;
-    SamplingConfig b = smokeSamplingConfig();
-    b.threads = 3;
-
-    const SimResult ra = SamplingController(cfg, a).run();
-    const SimResult rb = SamplingController(cfg, b).run();
-    ASSERT_NE(ra.sampling, nullptr);
-    ASSERT_NE(rb.sampling, nullptr);
-    EXPECT_EQ(ra.ticks, rb.ticks);
-    EXPECT_EQ(ra.llc_misses, rb.llc_misses);
-    EXPECT_DOUBLE_EQ(ra.ipc, rb.ipc);
-    ASSERT_EQ(ra.sampling->metrics.size(), rb.sampling->metrics.size());
-    for (size_t i = 0; i < ra.sampling->metrics.size(); ++i) {
-        const MetricEstimate &ma = ra.sampling->metrics[i];
-        const MetricEstimate &mb = rb.sampling->metrics[i];
-        EXPECT_EQ(ma.name, mb.name);
-        EXPECT_DOUBLE_EQ(ma.mean, mb.mean);
-        EXPECT_DOUBLE_EQ(ma.ci_half, mb.ci_half);
+                                          400'000);
+    SamplingConfig s = smokeSamplingConfig();
+    s.threads = 1;
+    const SimResult r1 = SamplingController(cfg, s).run();
+    ASSERT_NE(r1.sampling, nullptr);
+    EXPECT_EQ(r1.sampling->checkpoints, 8u);
+    EXPECT_EQ(r1.sampling->windows, 8u);
+    EXPECT_FALSE(r1.sampling->early_stopped);
+    for (unsigned width : {2u, 3u}) {
+        SCOPED_TRACE(width);
+        s.threads = width;
+        expectSameSampledResult(r1, SamplingController(cfg, s).run());
     }
 }
 
@@ -365,6 +387,29 @@ TEST(SamplingEndToEnd, EarlyStopAtBatchBoundary)
     EXPECT_TRUE(r.sampling->early_stopped);
     EXPECT_EQ(r.sampling->windows, 4u); // one kBatch batch
     EXPECT_EQ(r.sampling->checkpoints, 8u);
+    // Warming still ran to the last checkpoint position.
+    const SimResult all =
+        SamplingController(cfg, smokeSamplingConfig()).run();
+    EXPECT_EQ(r.footprint_pages, all.footprint_pages);
+    EXPECT_EQ(r.instructions, all.instructions);
+}
+
+TEST(SamplingEndToEnd, EarlyStopDeterministicAcrossPoolWidths)
+{
+    // The cut lands at window 4 of 8.  Width 1 has taken checkpoint 4
+    // by then and width 3 checkpoints 4-6: their windows must be
+    // dropped whether or not their replays already started.
+    const SystemConfig cfg = sampleConfig("mcf", "silcfm");
+    SamplingConfig s = smokeSamplingConfig();
+    s.min_windows = 1;
+    s.ci_target = 10.0;
+    s.threads = 1;
+    const SimResult r1 = SamplingController(cfg, s).run();
+    ASSERT_NE(r1.sampling, nullptr);
+    EXPECT_TRUE(r1.sampling->early_stopped);
+    EXPECT_EQ(r1.sampling->windows, 4u);
+    s.threads = 3;
+    expectSameSampledResult(r1, SamplingController(cfg, s).run());
 }
 
 TEST(SamplingEndToEnd, HmaFallsBackToFullRun)
